@@ -19,6 +19,7 @@ two-inequality infeasibility for one specific boundary shape.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -215,10 +216,10 @@ def _max_matching(
     (augmenting-path search, deterministic); None if some minority monomial
     cannot be covered."""
     maj_vec = {M: _level_vector(M, levels) for M in majority}
-    adj = {
-        m: [M for M in majority if _dominates(maj_vec[M], _level_vector(m, levels))]
-        for m in minority
-    }
+    adj = {}
+    for m in minority:
+        vec = _level_vector(m, levels)
+        adj[m] = [M for M in majority if _dominates(maj_vec[M], vec)]
     matched: dict[SignedMonomial, SignedMonomial] = {}  # majority -> minority
     def try_assign(m, seen):
         for M in adj[m]:
@@ -409,6 +410,20 @@ class PairInfeasibilityCertificate:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_lemma_counterexamples(samples: int, seed: int) -> int:
+    """Falsification pass of the pair lemma: sampled a<f<g<b with both
+    a+b < f+g and 1/a+1/b < 1/f+1/g.  The pass depends on nothing but
+    (samples, seed), so each pair is run once per process."""
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(samples):
+        a, f, g, b = sorted(rng.uniform(0.01, 100.0) for _ in range(4))
+        if a + b < f + g and 1 / a + 1 / b < 1 / f + 1 / g:
+            bad += 1
+    return bad
+
+
 def pair_infeasibility_check(
     tied: TiedOrder, sp: SignPattern, samples: int = 10_000, seed: int = 0
 ) -> PairInfeasibilityCertificate:
@@ -427,12 +442,7 @@ def pair_infeasibility_check(
         chirality = "NPPN"  # mirror image under root negation
     else:
         raise ValueError("unsupported shape")
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(samples):
-        a, f, g, b = sorted(rng.uniform(0.01, 100.0) for _ in range(4))
-        if a + b < f + g and 1 / a + 1 / b < 1 / f + 1 / g:
-            bad += 1
+    bad = _pair_lemma_counterexamples(samples, seed)
     if bad:
         raise ContradictionError(
             f"pair-infeasibility lemma falsified on {bad}/{samples} samples"
@@ -581,6 +591,34 @@ def frontier_exclusion(
 # ------------------------------------------------------------ the pipeline
 
 
+def refute(couple: Couple) -> Verdict | None:
+    """Certificate-only stage for one couple: the rigid-order lemma, the
+    canonical-only lemma, or a forced-sign certificate contradicting the
+    pattern.  Returns the first NonRealizable verdict found, or None when
+    none applies (which proves nothing).  Never searches for witnesses."""
+    sp, order = couple.sp, couple.order
+    if is_rigid_order(order):
+        rigid = rigid_sign_pattern(order)
+        if rigid == sp:
+            return None
+        return Verdict(
+            couple, Status.NON_REALIZABLE, "rigid-order", rigid, citation="rigid-orders"
+        )
+    canon = canonical_order(sp)
+    if order == canon:
+        return None
+    if is_canonical_pattern(sp):
+        return Verdict(
+            couple, Status.NON_REALIZABLE, "canonical-pattern", canon, citation="canonical-only"
+        )
+    d = sp.degree
+    for k in range(d):
+        cert = forced_sign(order, k)
+        if cert is not None and cert.sign != sp.signs[d - k]:
+            return Verdict(couple, Status.NON_REALIZABLE, "forced-sign", cert)
+    return None
+
+
 def classify_pattern(
     sp: SignPattern,
     cfg: SamplerConfig | None = None,
@@ -590,53 +628,28 @@ def classify_pattern(
 
     Stages: rigid-order lemma, canonical-order realizability (and, for
     patterns with no sign block of shape ++−−/+−−+ and mirrors, the
-    canonical-only lemma), direct forced-sign certificates, deterministic
+    canonical-only lemma), direct forced-sign certificates (the last three
+    shared with the search's parent gate through `refute`), deterministic
     witness construction, propagation and frontier exclusion to a fixed
     point, Monte Carlo search for the stragglers, and one more exclusion
     fixed point.  Orders no stage decides stay Unknown.
     """
     cfg = cfg or SamplerConfig()
     store = store if store is not None else {}
-    d = sp.degree
     table: dict[ModuliOrder, Verdict] = {}
     canon = canonical_order(sp)
 
     for order in compatible_orders(sp):
         couple = Couple(sp, order)
-        if is_rigid_order(order):
-            if rigid_sign_pattern(order) == sp:
-                table[order] = Verdict(couple, Status.REALIZABLE, "witness", rigid_witness(order))
-            else:
-                table[order] = Verdict(
-                    couple,
-                    Status.NON_REALIZABLE,
-                    "rigid-order",
-                    rigid_sign_pattern(order),
-                    citation="rigid-orders",
-                )
-            continue
-        if order == canon:
+        if is_rigid_order(order) and rigid_sign_pattern(order) == sp:
+            table[order] = Verdict(couple, Status.REALIZABLE, "witness", rigid_witness(order))
+        elif order == canon:
             table[order] = Verdict(
                 couple, Status.REALIZABLE, "witness", canonical_witness(sp),
                 citation="canonical-realizable",
             )
-            continue
-        if is_canonical_pattern(sp):
-            table[order] = Verdict(
-                couple, Status.NON_REALIZABLE, "canonical-pattern", canon,
-                citation="canonical-only",
-            )
-            continue
-        cert = None
-        for k in range(d):
-            candidate = forced_sign(order, k)
-            if candidate is not None and candidate.sign != sp.signs[d - k]:
-                cert = candidate
-                break
-        if cert is not None:
-            table[order] = Verdict(couple, Status.NON_REALIZABLE, "forced-sign", cert)
-            continue
-        table[order] = Verdict(couple, Status.UNKNOWN, "none")
+        else:
+            table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
 
     def witness_pass(allow_mc: bool) -> None:
         for order, verdict in list(table.items()):

@@ -85,24 +85,38 @@ def derive_seed(master_seed: int, couple: Couple) -> int:
 
 
 def _float_expand(roots: list[float]) -> list[float]:
+    # each coefficient is c_k - c_{k-1}*r with one rounding per operation;
+    # recorded MC outcomes depend on exactly this arithmetic
     coeffs = [1.0]
     for r in roots:
-        nxt = [0.0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c
-            nxt[i + 1] -= c * r
+        nxt = []
+        prev = 0.0
+        for c in coeffs:
+            nxt.append(c - prev * r)
+            prev = c
+        nxt.append(0.0 - prev * r)
         coeffs = nxt
     return coeffs
 
 
 def _draw_moduli(rng: random.Random, d: int, iteration: int, cfg: SamplerConfig) -> list[float]:
     spread = cfg.dist == "loguniform" or (cfg.dist == "mixed" and iteration % 2 == 1)
-    moduli = [rng.uniform(0.0, 1.0) for _ in range(d)]
+    # random() and top * random() are exactly uniform(0, 1) and
+    # uniform(0, top), value for value and in RNG use, which recorded
+    # MC outcomes depend on
+    rand = rng.random
+    moduli = [rand() for _ in range(d)]
     if spread:
         top = math.log10(cfg.max_modulus)
-        moduli = [m * 10 ** rng.uniform(0.0, top) for m in moduli]
+        moduli = [m * 10 ** (top * rand()) for m in moduli]
     moduli.sort()
     return moduli
+
+
+def _degenerate(moduli: list[float]) -> bool:
+    """A zero or repeated modulus among sorted draws: a measure-zero event
+    that no order of distinct nonzero moduli can describe."""
+    return moduli[0] == 0.0 or len(set(moduli)) < len(moduli)
 
 
 def _signed_floats(moduli: list[float], order: ModuliOrder) -> list[float]:
@@ -110,7 +124,10 @@ def _signed_floats(moduli: list[float], order: ModuliOrder) -> list[float]:
 
 
 def _matches_pattern(coeffs: list[float], sp: SignPattern) -> bool:
-    return all(c != 0.0 and (c > 0) == (s > 0) for c, s in zip(coeffs, sp.signs))
+    for c, s in zip(coeffs, sp.signs):
+        if c == 0.0 or (c > 0) != (s > 0):
+            return False
+    return True
 
 
 def _round_for_storage(roots: tuple[Fraction, ...], target: Couple) -> RootConfiguration | None:
@@ -142,8 +159,8 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
     rejections = 0
     for iteration in range(cfg.budget):
         moduli = _draw_moduli(rng, d, iteration, cfg)
-        if any(moduli[i] == moduli[i + 1] for i in range(d - 1)) or moduli[0] == 0.0:
-            continue  # measure-zero degenerate draw
+        if _degenerate(moduli):
+            continue
         floats = _signed_floats(moduli, target.order)
         if not _matches_pattern(_float_expand(floats), target.sp):
             rejections += 1
@@ -256,7 +273,8 @@ def witness_for(
 ) -> Witness | None:
     """Staged search for a witness: stored record, rigid or canonical
     direct construction, transport of a cheaply-witnessed orbit sibling,
-    recursive concatenation from the degree-(d-1) truncation, and finally
+    recursive concatenation from the degree-(d-1) truncation (skipped when
+    `certify.refute` proves that parent non-realizable), and finally
     Monte Carlo (skipped when allow_mc is false, so callers can harvest
     the deterministic stages first).  Returns None when every stage comes
     up empty."""
@@ -283,10 +301,16 @@ def witness_for(
         if cheap is not None:
             return transport(cheap, g)  # each group element is an involution
     if _has_concat_parent(target):
+        from .certify import refute  # certify imports this module at load time
+
         parent_target = Couple(
             SignPattern(target.sp.signs[:-1]), ModuliOrder(target.order.letters[1:])
         )
-        parent = witness_for(parent_target, cfg, store, allow_mc)
+        # a parent that a certificate refutes has no witness to lift, and
+        # searching it would only exhaust the MC budget
+        parent = None
+        if refute(parent_target) is None:
+            parent = witness_for(parent_target, cfg, store, allow_mc)
         if parent is not None:
             child = concatenate(parent, target.order.letters[0])
             if child.couple != target:
@@ -319,7 +343,7 @@ def canonical_order_census(
     census: dict[str, int] = {}
     for iteration in range(samples):
         moduli = _draw_moduli(rng, d, iteration, cfg)
-        if any(moduli[i] == moduli[i + 1] for i in range(d - 1)) or moduli[0] == 0.0:
+        if _degenerate(moduli):
             continue
         signs = ["P"] * pos + ["N"] * neg
         rng.shuffle(signs)

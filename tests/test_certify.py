@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from hypmoduli import certify
 from hypmoduli.certify import (
     CertificateError,
     ContradictionError,
@@ -19,6 +20,7 @@ from hypmoduli.certify import (
     frontier_exclusion,
     pair_infeasibility_check,
     propagate,
+    refute,
     sample_certificate,
     verify_certificate,
 )
@@ -225,12 +227,54 @@ def test_pair_lemma_mirror_shape():
     assert cert.chirality == "NPPN"
 
 
+def test_pair_lemma_falsification_pass_runs_once_per_seed():
+    tied = TiedOrder.wall(U(0, 1, 2, 0), U(1, 0, 2, 0))
+    sp = SignPattern.parse("2,1,2,2")
+    first = pair_infeasibility_check(tied, sp, samples=1234, seed=5)
+    before = certify._pair_lemma_counterexamples.cache_info()
+    again = pair_infeasibility_check(TiedOrder.wall(U(0, 2, 1, 0), U(0, 2, 0, 1)), sp,
+                                     samples=1234, seed=5)
+    after = certify._pair_lemma_counterexamples.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+    assert (first.samples, first.counterexamples) == (again.samples, again.counterexamples)
+    assert (first.samples, first.counterexamples) == (1234, 0)
+
+
 def test_pair_lemma_rejects_other_shapes():
     with pytest.raises(ValueError, match="unsupported shape"):
         pair_infeasibility_check(TiedOrder("PPNNNP", (5,)), SignPattern.parse("2,1,2,2"))
     with pytest.raises(ValueError, match="unsupported shape"):
         # free letters match but the pattern's outer signs do not
         pair_infeasibility_check(TiedOrder("PNPNNP", (1,)), SignPattern.parse("3,1,2,1"))
+
+
+# ------------------------------------------------------------ refute
+
+
+def test_refute_kinds_and_abstentions():
+    def kind(comp, order):
+        v = refute(Couple(SignPattern.parse(comp), ModuliOrder(order)))
+        assert v is None or v.status is Status.NON_REALIZABLE
+        return None if v is None else v.evidence_kind
+
+    assert kind("2,2,2,1", "NPNPNP") == "rigid-order"
+    assert kind("2,2,2,1", "PNPNPN") is None  # the rigid order's own pattern
+    assert kind("4,1,1,1", "PPNPNN") == "canonical-pattern"
+    assert kind("4,1,1,1", "PPPNNN") is None  # the canonical order
+    assert kind("2,2,1", "NNPP") == "forced-sign"
+    assert kind("3,2,1", "PNNNP") is None  # only frontier exclusion decides it
+
+
+def test_refute_is_classify_patterns_certificate_stage(cfg, store):
+    sp = SignPattern.parse("2,2,2,1")
+    table = classify_pattern(sp, cfg, store)
+    staged = ("rigid-order", "canonical-pattern", "forced-sign")
+    for order, verdict in table.items():
+        refuted = refute(Couple(sp, order))
+        if verdict.evidence_kind in staged:
+            assert refuted == verdict
+        else:
+            assert refuted is None
 
 
 # ------------------------------------------------------------ propagation

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import hypmoduli.search as search
+from hypmoduli.certify import classify_pattern, refute
 from hypmoduli.patterns import Couple, ModuliOrder, SignPattern, canonical_order
 from hypmoduli.published import published_witnesses
 from hypmoduli.search import (
@@ -80,6 +82,46 @@ def test_mc_search_deterministic():
     b = mc_search(couple("2,1,2,2", "PNNPPN"), cfg)
     assert a == b
     assert isinstance(a, Found)
+
+
+# Outcomes recorded before the draw helpers were rewritten for speed.  Any
+# change to the draws' arithmetic or RNG use moves them, and with them every
+# stored seed-reproducible witness.
+PINNED_MC = [
+    ("mixed", "4,3", "NNNNPN", 5000, 558, (
+        "-14741861/1000000", "-152299/10000", "-4222291/250000",
+        "-20581383/1000000", "21901317/1000000", "-265428891/500000")),
+    ("mixed", "3,2,2", "PNNNNP", 5000, 619, (
+        "176553/1000000", "-24431/50000", "-534781/1000000",
+        "-558883/1000000", "-590087/1000000", "163139/250000")),
+    ("mixed", "2,2,2,1", "NNNPPP", 3000, None, 3000),
+    ("uniform", "4,3", "NNNNPN", 5000, 785, (
+        "-338001/500000", "-34363/50000", "-705121/1000000",
+        "-141069/200000", "17851/25000", "-223611/250000")),
+    ("uniform", "4,2,1", "PNNPNN", 5000, 314, (
+        "3813/250000", "-88129/1000000", "-59399/500000",
+        "133853/1000000", "-436199/500000", "-978263/1000000")),
+    ("uniform", "2,2,2,1", "NNNPPP", 3000, None, 3000),
+    ("loguniform", "4,3", "PNNNNN", 5000, 480, (
+        "143039/200000", "-190993/250000", "-920863/1000000",
+        "-1234317/1000000", "-1360929/1000000", "-24338493/1000000")),
+    ("loguniform", "3,4", "NPNNNN", 5000, 1016, (
+        "-866909/500000", "49878391/1000000", "-5258563/100000",
+        "-905043/12500", "-1169529/15625", "-95714391/1000000")),
+    ("loguniform", "2,2,2,1", "NNNPPP", 3000, None, 3000),
+]
+
+
+@pytest.mark.parametrize("dist,comp,order,budget,iterations,expected", PINNED_MC)
+def test_mc_search_pinned_outcomes(dist, comp, order, budget, iterations, expected):
+    out = mc_search(couple(comp, order), SamplerConfig(seed=SEED, budget=budget, dist=dist))
+    if iterations is None:
+        assert isinstance(out, Exhausted)
+        assert out.sign_rejections == expected
+    else:
+        assert isinstance(out, Found)
+        assert out.iterations == iterations
+        assert out.witness.roots.roots == tuple(Fraction(r) for r in expected)
 
 
 def test_mc_search_single_distributions():
@@ -208,3 +250,38 @@ def test_canonical_order_census_small():
     census = canonical_order_census(sp, 5000, seed=7)
     assert census, "expected at least one pattern hit in 5000 samples"
     assert set(census) == {canonical_order(sp).letters}
+
+
+def _record_mc_targets(monkeypatch) -> list[Couple]:
+    targets = []
+    original = search.mc_search
+
+    def recording(target, cfg):
+        targets.append(target)
+        return original(target, cfg)
+
+    monkeypatch.setattr(search, "mc_search", recording)
+    return targets
+
+
+def test_concat_parent_search_skips_refuted_parents(monkeypatch):
+    targets = _record_mc_targets(monkeypatch)
+    cfg = SamplerConfig(seed=SEED, budget=1_000_000)
+    store = {w.couple: w for w in published_witnesses()}
+    for comp in ("3,1,2,1", "2,1,2,2", "2,2,2,1", "3,2,1,1"):
+        classify_pattern(SignPattern.parse(comp), cfg, store)
+    assert targets
+    assert [t for t in targets if refute(t) is not None] == []
+    # the three parents that used to exhaust 1M draws each are refuted
+    for comp, order in (("2,1", "NP"), ("2,2,1", "NPNP"), ("2,2,1", "NNPP")):
+        assert refute(couple(comp, order)) is not None
+
+
+def test_concat_parent_search_keeps_undecided_parents(monkeypatch):
+    targets = _record_mc_targets(monkeypatch)
+    parent = couple("3,2,1", "PNNNP")
+    assert refute(parent) is None
+    child = couple("3,2,2", "NPNNNP")
+    witness_for(child, SamplerConfig(seed=0, budget=200))
+    assert targets[0] == parent
+    assert targets[-1] == child
