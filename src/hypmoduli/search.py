@@ -10,9 +10,11 @@ seed derived from a master seed, so sweeps are reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from .patterns import (
@@ -84,50 +86,71 @@ def derive_seed(master_seed: int, couple: Couple) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _float_expand(roots: list[float]) -> list[float]:
-    # each coefficient is c_k - c_{k-1}*r with one rounding per operation;
-    # recorded MC outcomes depend on exactly this arithmetic
-    coeffs = [1.0]
-    for r in roots:
-        nxt = []
-        prev = 0.0
-        for c in coeffs:
-            nxt.append(c - prev * r)
-            prev = c
-        nxt.append(0.0 - prev * r)
-        coeffs = nxt
-    return coeffs
+@cache
+def _sign_filter(d: int):
+    """Straight-line float test for degree d: whether the monic polynomial
+    with roots mj * uj (sorted moduli `moduli`, root signs `units` of
+    +-1.0, both exact) has the coefficient signs `signs`.
+
+    The expansion multiplies in one root at a time, so coefficient k after
+    root j is c[j-1][k] - c[j-1][k-1] * rj, one rounding per operation.
+    Recorded MC outcomes depend on exactly this arithmetic.  The generated
+    code fills that triangle column by column (coefficient k needs only
+    columns below k) and returns at the first coefficient that is zero or
+    has the wrong sign; leading coefficient 1 always matches the
+    normalized leading sign.  The unrolled body is several times faster
+    than the same arithmetic in nested loops, and the sampler spends most
+    of its time here; it is compiled once per degree.
+    """
+    lines = [
+        "def signs_match(moduli, units, signs):",
+        f"    {''.join(f'm{j}, ' for j in range(1, d + 1))}= moduli",
+        f"    {''.join(f'u{j}, ' for j in range(1, d + 1))}= units",
+        *(f"    r{j} = m{j} * u{j}" for j in range(1, d + 1)),
+    ]
+    below = ["1.0"] * d  # below[j]: coefficient k-1 after roots 1..j
+    for k in range(1, d + 1):
+        lines.append(f"    c{k}_{k} = 0.0 - {below[k - 1]} * r{k}")
+        for j in range(k + 1, d + 1):
+            lines.append(f"    c{j}_{k} = c{j - 1}_{k} - {below[j - 1]} * r{j}")
+        lines.append(f"    if c{d}_{k} == 0.0 or (c{d}_{k} > 0) != (signs[{k}] > 0):")
+        lines.append("        return False")
+        below = [f"c{j}_{k}" for j in range(d)]  # only j >= k are defined and read
+    lines.append("    return True")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["signs_match"]
 
 
-def _draw_moduli(rng: random.Random, d: int, iteration: int, cfg: SamplerConfig) -> list[float]:
-    spread = cfg.dist == "loguniform" or (cfg.dist == "mixed" and iteration % 2 == 1)
+def _units(letters: str) -> tuple[float, ...]:
+    """Root signs of an order as factors: 1.0 for P, -1.0 for N."""
+    return tuple(1.0 if letter == "P" else -1.0 for letter in letters)
+
+
+def _moduli_draws(rng: random.Random, d: int, cfg: SamplerConfig):
+    """One draw of d sorted moduli per iteration, without end; None in
+    place of a draw with a zero or repeated modulus, a measure-zero event
+    that no order of distinct nonzero moduli can describe.
+
+    Each draw is taken only when the next one is asked for, so callers
+    may use `rng` in between.
+    """
     # random() and top * random() are exactly uniform(0, 1) and
     # uniform(0, top), value for value and in RNG use, which recorded
     # MC outcomes depend on
     rand = rng.random
-    moduli = [rand() for _ in range(d)]
-    if spread:
-        top = math.log10(cfg.max_modulus)
-        moduli = [m * 10 ** (top * rand()) for m in moduli]
-    moduli.sort()
-    return moduli
-
-
-def _degenerate(moduli: list[float]) -> bool:
-    """A zero or repeated modulus among sorted draws: a measure-zero event
-    that no order of distinct nonzero moduli can describe."""
-    return moduli[0] == 0.0 or len(set(moduli)) < len(moduli)
+    top = math.log10(cfg.max_modulus)
+    spreads = {"uniform": (False,), "loguniform": (True,), "mixed": (False, True)}[cfg.dist]
+    for spread in itertools.cycle(spreads):
+        moduli = [rand() for _ in range(d)]
+        if spread:
+            moduli = [m * 10 ** (top * rand()) for m in moduli]
+        moduli.sort()
+        yield None if moduli[0] == 0.0 or len(set(moduli)) < d else moduli
 
 
 def _signed_floats(moduli: list[float], order: ModuliOrder) -> list[float]:
     return [m if letter == "P" else -m for m, letter in zip(moduli, order.letters)]
-
-
-def _matches_pattern(coeffs: list[float], sp: SignPattern) -> bool:
-    for c, s in zip(coeffs, sp.signs):
-        if c == 0.0 or (c > 0) != (s > 0):
-            return False
-    return True
 
 
 def _round_for_storage(roots: tuple[Fraction, ...], target: Couple) -> RootConfiguration | None:
@@ -156,15 +179,16 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
         raise ValueError(f"incompatible couple {target}: sign counts do not match")
     rng = random.Random(derive_seed(cfg.seed, target))
     d = target.sp.degree
+    signs_match = _sign_filter(d)
+    units = _units(target.order.letters)
     rejections = 0
-    for iteration in range(cfg.budget):
-        moduli = _draw_moduli(rng, d, iteration, cfg)
-        if _degenerate(moduli):
+    for iteration, moduli in zip(range(cfg.budget), _moduli_draws(rng, d, cfg)):
+        if moduli is None:
             continue
-        floats = _signed_floats(moduli, target.order)
-        if not _matches_pattern(_float_expand(floats), target.sp):
+        if not signs_match(moduli, units, target.sp.signs):
             rejections += 1
             continue
+        floats = _signed_floats(moduli, target.order)
         exact = RootConfiguration(tuple(Fraction(f) for f in floats))
         if couple_of(exact) != target:
             rejections += 1  # float filter lied near a sign boundary
@@ -340,18 +364,18 @@ def canonical_order_census(
     expected = canonical_order(sp).letters
     rng = random.Random(derive_seed(seed, Couple(sp, canonical_order(sp))))
     cfg = SamplerConfig(seed=seed, max_modulus=max_modulus)
+    signs_match = _sign_filter(d)
     census: dict[str, int] = {}
-    for iteration in range(samples):
-        moduli = _draw_moduli(rng, d, iteration, cfg)
-        if _degenerate(moduli):
+    for moduli in itertools.islice(_moduli_draws(rng, d, cfg), samples):
+        if moduli is None:
             continue
         signs = ["P"] * pos + ["N"] * neg
         rng.shuffle(signs)
         letters = "".join(signs)
-        floats = _signed_floats(moduli, ModuliOrder(letters))
-        if not _matches_pattern(_float_expand(floats), sp):
+        if not signs_match(moduli, _units(letters), sp.signs):
             continue
         if letters != expected:
+            floats = _signed_floats(moduli, ModuliOrder(letters))
             exact = RootConfiguration(tuple(Fraction(f) for f in floats))
             if couple_of(exact).sp != sp:
                 continue  # float artifact near a sign boundary

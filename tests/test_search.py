@@ -124,6 +124,39 @@ def test_mc_search_pinned_outcomes(dist, comp, order, budget, iterations, expect
         assert out.witness.roots.roots == tuple(Fraction(r) for r in expected)
 
 
+def _reference_signs_match(roots, signs):
+    # multiply in one root at a time, then compare every coefficient's sign
+    coeffs = [1.0]
+    for r in roots:
+        coeffs = [c - p * r for c, p in zip(coeffs + [0.0], [0.0] + coeffs)]
+    return all(c != 0.0 and (c > 0) == (s > 0) for c, s in zip(coeffs, signs))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sign_filter_agrees_with_plain_expansion(d):
+    import random
+
+    rng = random.Random(d)
+    signs_match = search._sign_filter(d)
+    hits = 0
+    for trial in range(3000):
+        moduli = sorted(rng.random() * 10 ** (3 * rng.random()) for _ in range(d))
+        if trial % 7 == 0:  # small integers make exact zero coefficients
+            moduli = sorted(float(rng.randint(1, 3)) for _ in range(d))
+        units = tuple(rng.choice((1.0, -1.0)) for _ in range(d))
+        roots = [m * u for m, u in zip(moduli, units)]
+        signs = (1,) + tuple(-1 if c < 0 else 1 for c in [rng.random() - 0.5 for _ in range(d)])
+        if trial % 2 == 0:  # the roots' own pattern, so that hits occur
+            exact = [1.0]
+            for r in roots:
+                exact = [c - p * r for c, p in zip(exact + [0.0], [0.0] + exact)]
+            signs = tuple(-1 if c < 0 else 1 for c in exact)
+        expected = _reference_signs_match(roots, signs)
+        hits += expected
+        assert signs_match(moduli, units, signs) == expected
+    assert hits > 0
+
+
 def test_mc_search_single_distributions():
     for dist in ("uniform", "loguniform"):
         out = mc_search(
