@@ -40,7 +40,7 @@ from .patterns import (
     uvector_to_order,
 )
 from .poly import RootConfiguration, Witness, expand
-from .search import SamplerConfig, canonical_witness, rigid_witness, witness_for
+from .search import SamplerConfig, constructive_witness, witness_for
 
 
 class ContradictionError(RuntimeError):
@@ -266,6 +266,19 @@ def forced_sign(order: ModuliOrder | TiedOrder, k: int) -> ForcedSignCertificate
         if strictness is None:
             continue  # everything pairs off exactly; q_k may vanish
         return ForcedSignCertificate(order, k, claimed, matching, strictness)
+    return None
+
+
+def contradicting_certificate(
+    order: ModuliOrder | TiedOrder, sp: SignPattern
+) -> ForcedSignCertificate | None:
+    """The forced-sign certificate of lowest coefficient index on `order`
+    whose sign contradicts sp, or None when no certificate does."""
+    d = sp.degree
+    for k in range(d):
+        cert = forced_sign(order, k)
+        if cert is not None and cert.sign != sp.signs[d - k]:
+            return cert
     return None
 
 
@@ -542,14 +555,12 @@ def _wall_block_reason(
     table: dict[ModuliOrder, Verdict],
 ) -> str | None:
     """Why no realizable configuration can cross the wall u|v outward."""
-    d = sp.degree
     if table[v].status is Status.NON_REALIZABLE:
         return f"target {order_to_uvector(v)} non-realizable"
     tied = TiedOrder.wall(u, v)
-    for k in range(d):
-        cert = forced_sign(tied, k)
-        if cert is not None and cert.sign != sp.signs[d - k]:
-            return f"boundary forces q_{k} {'positive' if cert.sign > 0 else 'negative'}"
+    cert = contradicting_certificate(tied, sp)
+    if cert is not None:
+        return f"boundary forces q_{cert.k} {'positive' if cert.sign > 0 else 'negative'}"
     try:
         pair_infeasibility_check(tied, sp)
         return "boundary infeasible by pair lemma"
@@ -592,31 +603,29 @@ def frontier_exclusion(
 
 
 def refute(couple: Couple) -> Verdict | None:
-    """Certificate-only stage for one couple: the rigid-order lemma, the
-    canonical-only lemma, or a forced-sign certificate contradicting the
-    pattern.  Returns the first NonRealizable verdict found, or None when
-    none applies (which proves nothing).  Never searches for witnesses."""
+    """Certificate-only stage for one couple, the counterpart of
+    `search.constructive_witness`: no verdict for a canonical couple, then
+    the rigid-order lemma, the canonical-only lemma, or a forced-sign
+    certificate contradicting the pattern.  Returns the first
+    NonRealizable verdict found, or None when none applies (which proves
+    nothing).  Never searches for witnesses."""
     sp, order = couple.sp, couple.order
-    if is_rigid_order(order):
-        rigid = rigid_sign_pattern(order)
-        if rigid == sp:
-            return None
-        return Verdict(
-            couple, Status.NON_REALIZABLE, "rigid-order", rigid, citation="rigid-orders"
-        )
     canon = canonical_order(sp)
     if order == canon:
         return None
+    if is_rigid_order(order):
+        return Verdict(
+            couple, Status.NON_REALIZABLE, "rigid-order", rigid_sign_pattern(order),
+            citation="rigid-orders",
+        )
     if is_canonical_pattern(sp):
         return Verdict(
             couple, Status.NON_REALIZABLE, "canonical-pattern", canon, citation="canonical-only"
         )
-    d = sp.degree
-    for k in range(d):
-        cert = forced_sign(order, k)
-        if cert is not None and cert.sign != sp.signs[d - k]:
-            return Verdict(couple, Status.NON_REALIZABLE, "forced-sign", cert)
-    return None
+    cert = contradicting_certificate(order, sp)
+    if cert is None:
+        return None
+    return Verdict(couple, Status.NON_REALIZABLE, "forced-sign", cert)
 
 
 def classify_pattern(
@@ -626,28 +635,26 @@ def classify_pattern(
 ) -> dict[ModuliOrder, Verdict]:
     """Full verdict table for one sign pattern over all compatible orders.
 
-    Stages: rigid-order lemma, canonical-order realizability (and, for
-    patterns with no sign block of shape ++−−/+−−+ and mirrors, the
-    canonical-only lemma), direct forced-sign certificates (the last three
-    shared with the search's parent gate through `refute`), deterministic
-    witness construction, propagation and frontier exclusion to a fixed
-    point, Monte Carlo search for the stragglers, and one more exclusion
-    fixed point.  Orders no stage decides stay Unknown.
+    Stages: the structural lemmas and direct certificates, one couple at
+    a time (`search.constructive_witness` builds the canonical couples,
+    which include the rigid ones; `refute` applies the rigid-order lemma,
+    the canonical-only lemma for patterns with no sign block of shape
+    ++−−/+−−+ and mirrors, and forced-sign certificates, and is shared
+    with the search's parent gate), deterministic witness construction,
+    propagation and frontier exclusion to a fixed point, Monte Carlo
+    search for the stragglers, and one more exclusion fixed point.
+    Orders no stage decides stay Unknown.
     """
     cfg = cfg or SamplerConfig()
     store = store if store is not None else {}
     table: dict[ModuliOrder, Verdict] = {}
-    canon = canonical_order(sp)
 
     for order in compatible_orders(sp):
         couple = Couple(sp, order)
-        if is_rigid_order(order) and rigid_sign_pattern(order) == sp:
-            table[order] = Verdict(couple, Status.REALIZABLE, "witness", rigid_witness(order))
-        elif order == canon:
-            table[order] = Verdict(
-                couple, Status.REALIZABLE, "witness", canonical_witness(sp),
-                citation="canonical-realizable",
-            )
+        w = constructive_witness(couple)
+        if w is not None:
+            citation = None if is_rigid_order(order) else "canonical-realizable"
+            table[order] = Verdict(couple, Status.REALIZABLE, "witness", w, citation=citation)
         else:
             table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
 

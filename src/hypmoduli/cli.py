@@ -77,20 +77,6 @@ def _sampler_config(args) -> SamplerConfig:
     return SamplerConfig(**values)
 
 
-def _parse_pattern(text: str) -> SignPattern:
-    return SignPattern.parse(text)
-
-
-def _parse_order(text: str) -> ModuliOrder:
-    text = text.strip()
-    if text.startswith("["):
-        from .patterns import UVector, uvector_to_order
-
-        parts = tuple(int(p) for p in text.strip("[]").split(","))
-        return uvector_to_order(UVector(parts))
-    return ModuliOrder(text)
-
-
 def _default_store(degree: int) -> dict:
     if degree == 6:
         return {w.couple: w for w in published_witnesses()}
@@ -126,7 +112,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    sp = _parse_pattern(args.pattern)
+    sp = SignPattern.parse(args.pattern)
     order = canonical_order(sp)
     tag = "canonical pattern" if is_canonical_pattern(sp) else "non-canonical pattern"
     print(f"{sp} ({sp.composition()}): canonical order {order.letters} "
@@ -135,7 +121,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_rigid(args) -> int:
-    order = _parse_order(args.order)
+    order = ModuliOrder.parse(args.order)
     if not is_rigid_order(order):
         print(f"{order.letters}: not rigid")
         return 0
@@ -145,8 +131,8 @@ def _cmd_rigid(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    sp = _parse_pattern(args.pattern)
-    order = _parse_order(args.order)
+    sp = SignPattern.parse(args.pattern)
+    order = ModuliOrder.parse(args.order)
     cfg = _sampler_config(args)
     store = _load_store(args.store, sp.degree)
     witness = witness_for(Couple(sp, order), cfg, store)
@@ -162,8 +148,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    order = _parse_order(args.order)
-    sp = _parse_pattern(args.pattern) if args.pattern else None
+    order = ModuliOrder.parse(args.order)
+    sp = SignPattern.parse(args.pattern) if args.pattern else None
     if sp is not None and sp.degree != order.degree:
         raise ValueError("pattern and order degrees differ")
     ks = [args.coeff] if args.coeff is not None else list(range(order.degree))
@@ -191,7 +177,7 @@ def _cmd_certify(args) -> int:
 def _cmd_decide(args) -> int:
     cfg = _sampler_config(args)
     if args.pattern:
-        patterns = [_parse_pattern(args.pattern)]
+        patterns = [SignPattern.parse(args.pattern)]
         degree = patterns[0].degree
     elif args.all:
         degree = args.degree
@@ -230,7 +216,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_orbit_of(args) -> int:
-    sp = _parse_pattern(args.pattern)
+    sp = SignPattern.parse(args.pattern)
     orbit = orbit_of(sp)
     members = "; ".join(str(m.composition()) for m in orbit.sorted_members())
     print(f"orbit of {sp.composition()} (size {orbit.size}): {members}")

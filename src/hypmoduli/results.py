@@ -25,9 +25,7 @@ from .patterns import (
     descartes_counts,
     enumerate_patterns,
     is_canonical_pattern,
-    is_rigid_order,
     order_to_uvector,
-    rigid_sign_pattern,
     uvector_to_order,
 )
 from .poly import couple_of, format_exact, parse_exact, resolve_ties, tied_pairs_of
@@ -41,7 +39,6 @@ CITE_CANONICAL_ONLY = "canonical-only"
 CITE_RIGID = "rigid-orders"
 CITE_C1 = "deg6-c1-bounds"
 CITE_C2 = "deg6-c2-table"
-CITE_RATIOS = "d-le-5-ratios"
 
 # realizable orders for the four non-canonical orbit representatives with
 # three sign changes (the remaining sixteen patterns follow by symmetry)
@@ -86,8 +83,7 @@ VERDICTS_HEADER = "hypmoduli-verdicts v1"
 @dataclass(frozen=True)
 class ClassificationTable:
     """Verdicts for every compatible couple of one degree, each carrying a
-    citation key; complete for degree 6, partial (rigid/canonical strata
-    only, the rest Unknown) below."""
+    citation key."""
 
     degree: int
     entries: dict[Couple, Verdict]
@@ -193,49 +189,22 @@ def _extend_by_group(
 
 
 def builtin_table(d: int) -> ClassificationTable:
-    """The encoded classification for degree d <= 6: complete at d = 6;
-    below that only the rigid and canonical strata are decided and other
-    couples stay Unknown (their full tables live in the cited literature)."""
-    if not 1 <= d <= 6:
-        raise ValueError(f"unsupported degree {d}")
+    """The encoded classification of degree 6, complete with citations.
+    No other degree is encoded: below six the decision pipeline decides
+    every couple itself."""
+    if d != 6:
+        raise ValueError(f"unsupported degree {d}: only degree 6 is encoded")
+    closed = _extend_by_group(_base_verdicts_d6())
     entries: dict[Couple, Verdict] = {}
-    if d == 6:
-        closed = _extend_by_group(_base_verdicts_d6())
-        for changes in range(7):
-            for sp in enumerate_patterns(6, changes):
-                for order in compatible_orders(sp):
-                    couple = Couple(sp, order)
-                    if couple not in closed:
-                        raise ContradictionError(f"encoded table does not cover {couple}")
-                    status, cite = closed[couple]
-                    entries[couple] = Verdict(couple, status, "citation", citation=cite)
-        return ClassificationTable(6, entries)
-
-    for changes in range(d + 1):
-        for sp in enumerate_patterns(d, changes):
-            canon = canonical_order(sp)
+    for changes in range(7):
+        for sp in enumerate_patterns(6, changes):
             for order in compatible_orders(sp):
                 couple = Couple(sp, order)
-                if is_rigid_order(order):
-                    if rigid_sign_pattern(order) == sp:
-                        entries[couple] = Verdict(
-                            couple, Status.REALIZABLE, "citation", citation=CITE_RIGID
-                        )
-                    else:
-                        entries[couple] = Verdict(
-                            couple, Status.NON_REALIZABLE, "citation", citation=CITE_RIGID
-                        )
-                elif order == canon:
-                    entries[couple] = Verdict(
-                        couple, Status.REALIZABLE, "citation", citation=CITE_CANONICAL
-                    )
-                elif is_canonical_pattern(sp):
-                    entries[couple] = Verdict(
-                        couple, Status.NON_REALIZABLE, "citation", citation=CITE_CANONICAL_ONLY
-                    )
-                else:
-                    entries[couple] = Verdict(couple, Status.UNKNOWN, "none")
-    return ClassificationTable(d, entries)
+                if couple not in closed:
+                    raise ContradictionError(f"encoded table does not cover {couple}")
+                status, cite = closed[couple]
+                entries[couple] = Verdict(couple, status, "citation", citation=cite)
+    return ClassificationTable(6, entries)
 
 
 # ------------------------------------------------------------ counting

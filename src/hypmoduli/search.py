@@ -153,17 +153,17 @@ def _signed_floats(moduli: list[float], order: ModuliOrder) -> list[float]:
     return [m if letter == "P" else -m for m, letter in zip(moduli, order.letters)]
 
 
-def _round_for_storage(roots: tuple[Fraction, ...], target: Couple) -> RootConfiguration | None:
-    rounded = tuple(Fraction(format(float(r), ".6f")) for r in roots)
+def _rounded_witness(w: Witness) -> Witness | None:
+    """w with its roots rounded to six decimals for compact storage, or
+    None when the rounded roots no longer realize w's couple."""
+    rounded = tuple(Fraction(format(float(r), ".6f")) for r in w.roots.roots)
     if any(r == 0 for r in rounded):
         return None
     try:
-        rc = RootConfiguration(rounded)
-        if couple_of(rc) == target:
-            return rc
+        stored = make_witness(RootConfiguration(rounded), w.provenance, seed=w.seed)
     except ValueError:
         return None
-    return None
+    return stored if stored.couple == w.couple else None
 
 
 def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
@@ -190,12 +190,12 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
             continue
         floats = _signed_floats(moduli, target.order)
         exact = RootConfiguration(tuple(Fraction(f) for f in floats))
-        if couple_of(exact) != target:
+        provenance = f"mc-search(seed={cfg.seed},iteration={iteration + 1})"
+        witness = make_witness(exact, provenance, seed=cfg.seed)
+        if witness.couple != target:
             rejections += 1  # float filter lied near a sign boundary
             continue
-        stored = _round_for_storage(exact.roots, target) or exact
-        provenance = f"mc-search(seed={cfg.seed},iteration={iteration + 1})"
-        return Found(make_witness(stored, provenance, seed=cfg.seed), iteration + 1)
+        return Found(_rounded_witness(witness) or witness, iteration + 1)
     return Exhausted(target, cfg.budget, rejections)
 
 
@@ -284,6 +284,18 @@ def canonical_witness(sp: SignPattern) -> Witness:
     return child
 
 
+def constructive_witness(couple: Couple) -> Witness | None:
+    """Direct construction from the two structural lemmas for a couple
+    whose order is its pattern's canonical order; these include each rigid
+    order with its one sign pattern.  None for every other couple, which
+    proves nothing."""
+    if couple.order != canonical_order(couple.sp):
+        return None
+    if is_rigid_order(couple.order):
+        return rigid_witness(couple.order)
+    return canonical_witness(couple.sp)
+
+
 def _has_concat_parent(couple: Couple) -> bool:
     last_cp = signs_to_cp(couple.sp).letters[-1]
     return (last_cp == "c") == (couple.order.letters[0] == "P")
@@ -295,35 +307,26 @@ def witness_for(
     store: dict[Couple, Witness] | None = None,
     allow_mc: bool = True,
 ) -> Witness | None:
-    """Staged search for a witness: stored record, rigid or canonical
-    direct construction, transport of a cheaply-witnessed orbit sibling,
-    recursive concatenation from the degree-(d-1) truncation (skipped when
-    `certify.refute` proves that parent non-realizable), and finally
-    Monte Carlo (skipped when allow_mc is false, so callers can harvest
-    the deterministic stages first).  Returns None when every stage comes
-    up empty."""
+    """Staged search for a witness: stored record, `constructive_witness`,
+    transport of a stored orbit sibling, recursive concatenation from the
+    degree-(d-1) truncation (skipped when `certify.refute` proves that
+    parent non-realizable), and finally Monte Carlo (skipped when allow_mc
+    is false, so callers can harvest the deterministic stages first).
+    Returns None when every stage comes up empty."""
     cfg = cfg or SamplerConfig()
     if not is_compatible(target.sp, target.order):
         raise ValueError(f"incompatible couple {target}")
     if store and target in store and store[target].couple == target:
         return store[target]
-    if target.sp.degree == 1:
-        return rigid_witness(target.order) if target.order.letters in ("P", "N") else None
-    if is_rigid_order(target.order) and rigid_sign_pattern(target.order) == target.sp:
-        return rigid_witness(target.order)
-    if target.order == canonical_order(target.sp):
-        return canonical_witness(target.sp)
+    constructed = constructive_witness(target)
+    if constructed is not None:
+        return constructed
+    # the group maps canonical couples to canonical couples, so only a
+    # stored sibling can help a couple that has no construction
     for g in ("im", "ir", "imir"):
         sibling = apply_group(g, target)
-        cheap = None
         if store and sibling in store:
-            cheap = store[sibling]
-        elif is_rigid_order(sibling.order) and rigid_sign_pattern(sibling.order) == sibling.sp:
-            cheap = rigid_witness(sibling.order)
-        elif sibling.order == canonical_order(sibling.sp):
-            cheap = canonical_witness(sibling.sp)
-        if cheap is not None:
-            return transport(cheap, g)  # each group element is an involution
+            return transport(store[sibling], g)  # each group element is an involution
     if _has_concat_parent(target):
         from .certify import refute  # certify imports this module at load time
 

@@ -14,6 +14,7 @@ from hypmoduli.certify import (
     Verdict,
     classify_pattern,
     coefficient_monomials,
+    contradicting_certificate,
     decide,
     factor_constraints,
     forced_sign,
@@ -263,6 +264,19 @@ def test_refute_kinds_and_abstentions():
     assert kind("4,1,1,1", "PPPNNN") is None  # the canonical order
     assert kind("2,2,1", "NNPP") == "forced-sign"
     assert kind("3,2,1", "PNNNP") is None  # only frontier exclusion decides it
+
+
+def test_contradicting_certificate_is_the_first_against_the_pattern():
+    sp, order = SignPattern.parse("2,2,1"), ModuliOrder("NNPP")
+    cert = contradicting_certificate(order, sp)
+    assert cert is not None and cert.order == order
+    assert cert.sign != sp.signs[sp.degree - cert.k]
+    for k in range(cert.k):
+        earlier = forced_sign(order, k)
+        assert earlier is None or earlier.sign == sp.signs[sp.degree - k]
+    assert refute(Couple(sp, order)).evidence == cert
+    # the canonical order is realizable, so nothing may contradict it
+    assert contradicting_certificate(canonical_order(sp), sp) is None
 
 
 def test_refute_is_classify_patterns_certificate_stage(cfg, store):

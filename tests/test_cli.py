@@ -91,6 +91,16 @@ def test_rigid_accepts_uvector_form(capsys):
     assert out == "NPNPNP: rigid, only sign pattern +--++-- (1,2,2,2)\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [("rigid", "[1,1,1,0"), ("certify", "--order", "[3,0,0,0")]
+)
+def test_unclosed_uvector_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: bad uvector")
+
+
 def test_orbit_of_command(capsys):
     rc, out, _ = run(capsys, "orbit-of", "+----+-")
     assert rc == 0

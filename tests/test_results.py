@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypmoduli.certify import Status
+from hypmoduli.certify import Status, classify_pattern
 from hypmoduli.patterns import (
     Couple,
     ModuliOrder,
@@ -17,6 +17,7 @@ from hypmoduli.patterns import (
     uvector_to_order,
 )
 from hypmoduli.results import (
+    LITERATURE_RATIOS,
     VERDICTS_HEADER,
     builtin_table,
     counts_and_ratio,
@@ -25,6 +26,7 @@ from hypmoduli.results import (
     verdict_rows,
     verify_paper,
 )
+from hypmoduli.search import SamplerConfig
 from hypmoduli.symmetry import apply_im, apply_ir
 
 SEED = 20260823
@@ -157,25 +159,25 @@ def test_table_is_group_equivariant(table6):
         assert table6.status(apply_ir(couple)) is verdict.status
 
 
-def test_partial_tables_below_six():
-    t2 = builtin_table(2)
-    assert t2.total() == 6
-    assert t2.count(Status.REALIZABLE) == 4  # matches the quoted ratio 2/3
-    assert t2.count(Status.UNKNOWN) == 0
+def test_only_degree_six_is_encoded():
+    for d in (0, 5, 7):
+        with pytest.raises(ValueError, match="unsupported degree"):
+            builtin_table(d)
 
-    t5 = builtin_table(5)
-    assert t5.count(Status.UNKNOWN) > 0
-    sp = SignPattern.parse("2,2,2")  # canonical five-root pattern
-    assert t5.status(Couple(sp, canonical_order(sp))) is Status.REALIZABLE
-    assert (
-        sum(t5.status(Couple(sp, o)) is Status.REALIZABLE for o in compatible_orders(sp))
-        == 1
-    )
 
-    with pytest.raises(ValueError):
-        builtin_table(7)
-    with pytest.raises(ValueError):
-        builtin_table(0)
+def test_pipeline_reproduces_literature_ratios_below_six():
+    # the pipeline is the oracle below degree six: it decides every couple,
+    # and its realizable share is the quoted ratio
+    cfg = SamplerConfig(seed=0, budget=10_000)
+    for d in range(1, 6):
+        realizable = total = 0
+        for changes in range(d + 1):
+            for sp in enumerate_patterns(d, changes):
+                for verdict in classify_pattern(sp, cfg, {}).values():
+                    assert verdict.status is not Status.UNKNOWN, verdict.couple
+                    realizable += verdict.status is Status.REALIZABLE
+                    total += 1
+        assert Fraction(realizable, total) == LITERATURE_RATIOS[d], d
 
 
 # ------------------------------------------------------------ counting
@@ -303,6 +305,20 @@ def test_cross_validate_strata_with_full_machinery():
     assert report.contradictions == ()
     assert report.lemma_dependent == ()
     assert report.agreements == report.couples_checked == 1 + 36 + 20
+
+
+def test_cross_validate_full_degree_six():
+    report = cross_validate(budget=10_000, seed=0)
+    assert report.couples_checked == 924
+    assert report.agreements == 912
+    assert report.contradictions == ()
+    encoded_only = {(str(c.sp.composition()), c.order.letters) for c in report.lemma_dependent}
+    assert encoded_only == {
+        ("2,4,1", "PPNNNN"), ("2,4,1", "PNPNNN"), ("2,4,1", "NPPNNN"),
+        ("1,4,2", "NNNNPP"), ("1,4,2", "NNNPNP"), ("1,4,2", "NNNPPN"),
+        ("2,1,1,2,1", "PPPPNN"), ("2,1,1,2,1", "PPPNPN"), ("2,1,1,2,1", "PPPNNP"),
+        ("1,2,1,1,2", "NNPPPP"), ("1,2,1,1,2", "NPNPPP"), ("1,2,1,1,2", "PNNPPP"),
+    }
 
 
 def test_cross_validate_reports_encoded_only_couples():

@@ -4,7 +4,15 @@ import pytest
 
 import hypmoduli.search as search
 from hypmoduli.certify import classify_pattern, refute
-from hypmoduli.patterns import Couple, ModuliOrder, SignPattern, canonical_order
+from hypmoduli.patterns import (
+    Couple,
+    ModuliOrder,
+    SignPattern,
+    canonical_order,
+    compatible_orders,
+    enumerate_patterns,
+    is_rigid_order,
+)
 from hypmoduli.published import published_witnesses
 from hypmoduli.search import (
     Exhausted,
@@ -13,6 +21,7 @@ from hypmoduli.search import (
     canonical_order_census,
     canonical_witness,
     concatenate,
+    constructive_witness,
     derive_seed,
     mc_search,
     rigid_witness,
@@ -230,6 +239,22 @@ def test_canonical_witness_chain():
         w = canonical_witness(sp)
         w.validate()
         assert w.couple == Couple(sp, canonical_order(sp))
+
+
+def test_constructive_witness_builds_exactly_the_canonical_couples():
+    for d in range(1, 6):
+        for changes in range(d + 1):
+            for sp in enumerate_patterns(d, changes):
+                for order in compatible_orders(sp):
+                    target = Couple(sp, order)
+                    w = constructive_witness(target)
+                    if order != canonical_order(sp):
+                        assert w is None, target
+                        continue
+                    w.validate()
+                    assert w.couple == target
+                    rigid = w.provenance == "rigid-construction"
+                    assert rigid == is_rigid_order(order), target
 
 
 def test_witness_for_stage_store():

@@ -6,10 +6,14 @@ from hypmoduli.patterns import (
     Couple,
     ModuliOrder,
     SignPattern,
+    canonical_order,
+    compatible_orders,
     descartes_counts,
     enumerate_orders,
     enumerate_patterns,
     is_compatible,
+    is_rigid_order,
+    rigid_sign_pattern,
 )
 from hypmoduli.symmetry import apply_group, apply_im, apply_ir, orbit_of, orbits
 
@@ -79,6 +83,35 @@ def test_compatibility_is_equivariant():
             value = is_compatible(sp, o)
             for g in ("im", "ir", "imir"):
                 assert is_compatible(apply_group(g, sp), apply_group(g, o)) == value
+
+
+def compatible_couples(d):
+    for sp in all_patterns(d):
+        for o in compatible_orders(sp):
+            yield Couple(sp, o)
+
+
+def is_canonical_couple(c):
+    return c.order == canonical_order(c.sp)
+
+
+def test_group_maps_canonical_couples_to_canonical_couples():
+    # search.witness_for transports only stored siblings: a sibling it could
+    # construct is canonical, and then so is the target, built directly
+    for d in range(1, 9):
+        for c in compatible_couples(d):
+            if is_canonical_couple(c):
+                for g in ("im", "ir", "imir"):
+                    assert is_canonical_couple(apply_group(g, c)), (g, c)
+
+
+def test_rigid_realizable_couples_are_the_rigid_canonical_ones():
+    # search.constructive_witness and certify.refute test canonicity alone
+    for d in range(1, 9):
+        for c in compatible_couples(d):
+            rigid = is_rigid_order(c.order)
+            realizable = rigid and rigid_sign_pattern(c.order) == c.sp
+            assert realizable == (rigid and is_canonical_couple(c)), c
 
 
 LEMMA_ORBITS = {
