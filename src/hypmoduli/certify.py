@@ -14,6 +14,9 @@ argument (a realizable order is wall-connected to any other realizable
 order through σ-signed boundary polynomials (x²−1)R, so a region whose
 exit walls are all impossible contains no realizable order) and a
 two-inequality infeasibility for one specific boundary shape.
+`classify_pattern` runs each stage once: per-couple constructions,
+certificates and deterministic witnesses, one exclusion round, Monte
+Carlo on the orders still Unknown, and one more exclusion round.
 """
 
 from __future__ import annotations
@@ -342,64 +345,6 @@ def sample_certificate(
     return violations
 
 
-# --------------------------------------------------------- factor analysis
-
-
-def factor_constraints(sp: SignPattern) -> set[SignPattern]:
-    """Sign patterns a monic degree-(d−2) cofactor R can carry when
-    (x²−1)·R realizes `sp`.
-
-    Writing R = x^{d−2} + a_{d−3}x^{d−3} + … + a_0, the product has
-    q_j = a_{j−2} − a_j; each sign of sp plus each candidate sign for the
-    a_j yields strict inequalities between the a_j, 0 and 1, feasible iff
-    the strict-inequality digraph is acyclic.
-    """
-    d = sp.degree
-    if d < 3:
-        raise ValueError("need degree at least 3")
-
-    def node(j: int) -> str:
-        if j < 0 or j > d - 2:
-            return "ZERO"
-        if j == d - 2:
-            return "ONE"
-        return f"a{j}"
-
-    results = set()
-    for tail in itertools.product((1, -1), repeat=d - 2):
-        edges = {("ZERO", "ONE")}  # 1 > 0
-        for j, s in enumerate(tail):  # tail[j] = sign of a_j
-            edges.add(("ZERO", f"a{j}") if s > 0 else ((f"a{j}", "ZERO")))
-        ok = True
-        for j in range(d + 1):
-            sign_qj = sp.signs[d - j]
-            lo, hi = (node(j), node(j - 2)) if sign_qj > 0 else (node(j - 2), node(j))
-            if lo == hi:
-                ok = False  # q_j would vanish
-                break
-            edges.add((lo, hi))
-        if not ok:
-            continue
-        # Kahn's algorithm: feasible iff the strict order has no cycle
-        nodes = {n for e in edges for n in e}
-        indeg = {n: 0 for n in nodes}
-        for lo, hi in edges:
-            indeg[hi] += 1
-        queue = [n for n, deg in indeg.items() if deg == 0]
-        seen = 0
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for lo, hi in edges:
-                if lo == n:
-                    indeg[hi] -= 1
-                    if indeg[hi] == 0:
-                        queue.append(hi)
-        if seen == len(nodes):
-            results.add(SignPattern((1,) + tuple(reversed(tail))))
-    return results
-
-
 # --------------------------------------------------- encoded pair lemma
 
 
@@ -479,8 +424,7 @@ class Verdict:
     couple: Couple
     status: Status
     evidence_kind: str  # witness | forced-sign | propagation | frontier |
-    #                     rigid-order | canonical-pattern | pair-infeasibility |
-    #                     citation | none
+    #                     rigid-order | canonical-pattern | citation | none
     evidence: object = None
     citation: str | None = None
 
@@ -635,15 +579,21 @@ def classify_pattern(
 ) -> dict[ModuliOrder, Verdict]:
     """Full verdict table for one sign pattern over all compatible orders.
 
-    Stages: the structural lemmas and direct certificates, one couple at
-    a time (`search.constructive_witness` builds the canonical couples,
-    which include the rigid ones; `refute` applies the rigid-order lemma,
-    the canonical-only lemma for patterns with no sign block of shape
-    ++−−/+−−+ and mirrors, and forced-sign certificates, and is shared
-    with the search's parent gate), deterministic witness construction,
-    propagation and frontier exclusion to a fixed point, Monte Carlo
-    search for the stragglers, and one more exclusion fixed point.
-    Orders no stage decides stay Unknown.
+    Stages, each run once:
+    1. per couple, the first that applies: `search.constructive_witness`
+       (the canonical couples, which include the rigid ones), `refute`
+       (rigid-order lemma, canonical-only lemma for patterns with no sign
+       block of shape ++−−/+−−+ and mirrors, forced-sign certificates), or
+       the deterministic `search.witness_for` without a sampler config
+       (stored record, transported stored sibling, stored ancestor lifted
+       by concatenation);
+    2. one round of propagation then frontier exclusion;
+    3. `search.witness_for` with Monte Carlo on each order still Unknown;
+    4. one more round of propagation then frontier exclusion.
+    A second round in a row never changes a status: `propagate` iterates
+    to its own fixed point, and `frontier_exclusion` either seals every
+    Unknown order or returns the table unchanged.  Orders no stage decides
+    stay Unknown.
     """
     cfg = cfg or SamplerConfig()
     store = store if store is not None else {}
@@ -655,32 +605,23 @@ def classify_pattern(
         if w is not None:
             citation = None if is_rigid_order(order) else "canonical-realizable"
             table[order] = Verdict(couple, Status.REALIZABLE, "witness", w, citation=citation)
-        else:
-            table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
-
-    def witness_pass(allow_mc: bool) -> None:
-        for order, verdict in list(table.items()):
-            if verdict.status is not Status.UNKNOWN:
-                continue
-            w = witness_for(Couple(sp, order), cfg, store, allow_mc)
+            continue
+        verdict = refute(couple)
+        if verdict is None:
+            w = witness_for(couple, None, store)
             if w is not None:
                 w.validate()
-                table[order] = Verdict(Couple(sp, order), Status.REALIZABLE, "witness", w)
+                verdict = Verdict(couple, Status.REALIZABLE, "witness", w)
+        table[order] = verdict or Verdict(couple, Status.UNKNOWN, "none")
 
-    def exclusion_fixpoint() -> None:
-        nonlocal table
-        while True:
-            before = {o: v.status for o, v in table.items()}
-            table = propagate(sp, table)
-            table = frontier_exclusion(sp, table)
-            if {o: v.status for o, v in table.items()} == before:
-                return
-
-    witness_pass(allow_mc=False)
-    exclusion_fixpoint()
-    if any(v.status is Status.UNKNOWN for v in table.values()):
-        witness_pass(allow_mc=True)
-        exclusion_fixpoint()
+    table = frontier_exclusion(sp, propagate(sp, table))
+    for order, verdict in table.items():
+        if verdict.status is Status.UNKNOWN:
+            w = witness_for(verdict.couple, cfg, store)
+            if w is not None:
+                w.validate()
+                table[order] = Verdict(verdict.couple, Status.REALIZABLE, "witness", w)
+    table = frontier_exclusion(sp, propagate(sp, table))
 
     # a stored witness for a certificate-killed couple would be fatal
     for order, verdict in table.items():

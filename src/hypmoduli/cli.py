@@ -62,7 +62,7 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _sampler_config(args) -> SamplerConfig:
-    values = {"seed": 0, "budget": 100_000, "dist": "mixed", "max_modulus": 1000.0}
+    values: dict = {}
     if getattr(args, "config", None):
         for key, text in _read_config(args.config).items():
             values[key] = (

@@ -334,15 +334,21 @@ def append_witnesses(path, witnesses: Iterable[Witness]) -> None:
 
 
 def load_witnesses(path) -> list[Witness]:
-    """Read a store; later records win per (couple, provenance) key."""
+    """Read a store, re-validating every record exactly; later records win
+    per (couple, provenance) key.  A malformed or invalid record raises
+    ValueError naming path:line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != STORE_HEADER:
             raise ValueError(f"unrecognized witness store header: {header!r}")
         records: dict[tuple[Couple, str], Witness] = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            w = _parse_witness_line(line)
+            try:
+                w = _parse_witness_line(line)
+                w.validate()
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
             records[(w.couple, w.provenance)] = w
     return list(records.values())

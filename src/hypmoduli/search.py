@@ -223,8 +223,9 @@ def concatenate(parent: Witness, root_sign: str, max_halvings: int = 64) -> Witn
         root = eps if root_sign == "P" else -eps
         rc = RootConfiguration(parent.roots.roots + (root,))
         try:
-            if couple_of(rc) == target:
-                return make_witness(rc, f"concatenation({parent.couple})")
+            child = make_witness(rc, f"concatenation({parent.couple})")
+            if child.couple == target:
+                return child
         except ValueError:
             pass
         eps /= 2
@@ -305,15 +306,14 @@ def witness_for(
     target: Couple,
     cfg: SamplerConfig | None = None,
     store: dict[Couple, Witness] | None = None,
-    allow_mc: bool = True,
 ) -> Witness | None:
     """Staged search for a witness: stored record, `constructive_witness`,
     transport of a stored orbit sibling, recursive concatenation from the
     degree-(d-1) truncation (skipped when `certify.refute` proves that
-    parent non-realizable), and finally Monte Carlo (skipped when allow_mc
-    is false, so callers can harvest the deterministic stages first).
-    Returns None when every stage comes up empty."""
-    cfg = cfg or SamplerConfig()
+    parent non-realizable), and finally Monte Carlo.  Monte Carlo runs, at
+    every level of the recursion, only when a sampler config is given;
+    with cfg None the search is deterministic.  Returns None when every
+    stage comes up empty."""
     if not is_compatible(target.sp, target.order):
         raise ValueError(f"incompatible couple {target}")
     if store and target in store and store[target].couple == target:
@@ -337,13 +337,13 @@ def witness_for(
         # searching it would only exhaust the MC budget
         parent = None
         if refute(parent_target) is None:
-            parent = witness_for(parent_target, cfg, store, allow_mc)
+            parent = witness_for(parent_target, cfg, store)
         if parent is not None:
             child = concatenate(parent, target.order.letters[0])
             if child.couple != target:
                 raise ValueError(f"concatenation realized {child.couple}, expected {target}")
             return child
-    if not allow_mc:
+    if cfg is None:
         return None
     outcome = mc_search(target, cfg)
     if isinstance(outcome, Found):
@@ -351,9 +351,7 @@ def witness_for(
     return None
 
 
-def canonical_order_census(
-    sp: SignPattern, samples: int, seed: int = 0, max_modulus: float = 1000.0
-) -> dict[str, int]:
+def canonical_order_census(sp: SignPattern, samples: int, seed: int = 0) -> dict[str, int]:
     """Sample configurations with sp's root-sign counts and random moduli,
     keep those whose expansion carries sp, and tally their orders.
 
@@ -366,7 +364,7 @@ def canonical_order_census(
     d = sp.degree
     expected = canonical_order(sp).letters
     rng = random.Random(derive_seed(seed, Couple(sp, canonical_order(sp))))
-    cfg = SamplerConfig(seed=seed, max_modulus=max_modulus)
+    cfg = SamplerConfig(seed=seed)
     signs_match = _sign_filter(d)
     census: dict[str, int] = {}
     for moduli in itertools.islice(_moduli_draws(rng, d, cfg), samples):

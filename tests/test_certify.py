@@ -16,7 +16,6 @@ from hypmoduli.certify import (
     coefficient_monomials,
     contradicting_certificate,
     decide,
-    factor_constraints,
     forced_sign,
     frontier_exclusion,
     pair_infeasibility_check,
@@ -32,11 +31,12 @@ from hypmoduli.patterns import (
     UVector,
     canonical_order,
     compatible_orders,
+    enumerate_patterns,
     order_to_uvector,
     uvector_to_order,
 )
 from hypmoduli.published import published_witnesses
-from hypmoduli.search import SamplerConfig, rigid_witness
+from hypmoduli.search import SamplerConfig, constructive_witness, rigid_witness
 
 SEED = 20260823
 
@@ -186,24 +186,6 @@ def test_certificates_survive_random_sampling():
         forced_sign(TiedOrder("NPPPNN", (1,)), 2),
     ):
         assert sample_certificate(cert, samples=2000, seed=SEED) == 0
-
-
-# ------------------------------------------------------------ factor analysis
-
-
-def test_factor_constraints_frozen_cases():
-    only_311 = {SignPattern.parse("3,1,1")}
-    assert factor_constraints(SignPattern.parse("3,1,2,1")) == only_311
-    assert factor_constraints(SignPattern.parse("3,2,1,1")) == only_311
-    assert factor_constraints(SignPattern.parse("2,1,2,2")) == {
-        SignPattern.parse("5"),
-        SignPattern.parse("2,1,2"),
-    }
-
-
-def test_factor_constraints_needs_degree():
-    with pytest.raises(ValueError):
-        factor_constraints(SignPattern.parse("1,1"))
 
 
 # ------------------------------------------------------------ pair lemma
@@ -436,6 +418,27 @@ def test_classify_fourth_pattern(cfg, store):
     reasons = {(u.letters, v.letters): why for u, v, why in sealed.evidence.blocks}
     assert reasons[("NPPPNN", "PNPPNN")] == "boundary forces q_2 positive"
     assert reasons[("PPNNNP", "PPNNPN")] == "boundary forces q_4 negative"
+
+
+def test_one_exclusion_round_is_a_fixed_point():
+    rounds_that_decide = 0
+    for d in range(3, 7):
+        for changes in range(d + 1):
+            for sp in enumerate_patterns(d, changes):
+                table = {}
+                for order in compatible_orders(sp):
+                    couple = Couple(sp, order)
+                    w = constructive_witness(couple)
+                    if w is not None:
+                        table[order] = Verdict(couple, Status.REALIZABLE, "witness", w)
+                    else:
+                        table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
+                once = frontier_exclusion(sp, propagate(sp, table))
+                twice = frontier_exclusion(sp, propagate(sp, once))
+                statuses = {o: v.status for o, v in once.items()}
+                assert {o: v.status for o, v in twice.items()} == statuses, sp
+                rounds_that_decide += statuses != {o: v.status for o, v in table.items()}
+    assert rounds_that_decide > 0
 
 
 def test_classification_commutes_with_sign_flip(cfg, store):

@@ -296,6 +296,28 @@ def test_transport_empty_store(tmp_path, capsys):
     assert "no witnesses" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("decide", "--pattern", "2,2,2,1", "--budget", "1000", "--store"),
+     ("transport", "--g", "im", "--witness")],
+)
+def test_invalid_store_record_exit_2(tmp_path, capsys, argv):
+    witness = next(
+        w for w in published_witnesses()
+        if w.couple == Couple(SignPattern.parse("+++-++-"), ModuliOrder("PPPNNN"))
+    )
+    bad = tmp_path / "bad.tsv"
+    save_witnesses(bad, [witness])
+    text = bad.read_text(encoding="utf-8")
+    assert "\t0.39,0.4," in text
+    # the stored polynomial is no longer the expansion of the roots
+    bad.write_text(text.replace("\t0.39,0.4,", "\t0.38,0.4,"), encoding="utf-8")
+    rc, out, err = run(capsys, *argv, str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}:2: stored polynomial is not the expansion")
+
+
 # ------------------------------------------------- sampler configuration
 
 

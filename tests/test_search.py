@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import hypmoduli.search as search
-from hypmoduli.certify import classify_pattern, refute
+from hypmoduli.certify import Status, classify_pattern, refute
 from hypmoduli.patterns import (
     Couple,
     ModuliOrder,
@@ -343,3 +343,34 @@ def test_concat_parent_search_keeps_undecided_parents(monkeypatch):
     witness_for(child, SamplerConfig(seed=0, budget=200))
     assert targets[0] == parent
     assert targets[-1] == child
+
+
+def test_witness_for_without_config_never_samples(monkeypatch):
+    def refuse(target, cfg):
+        raise AssertionError(f"mc_search called on {target}")
+
+    monkeypatch.setattr(search, "mc_search", refuse)
+    store = {w.couple: w for w in published_witnesses()}
+    missing = 0
+    for changes in range(7):
+        for sp in enumerate_patterns(6, changes):
+            for order in compatible_orders(sp):
+                missing += witness_for(Couple(sp, order), None, store) is None
+    assert missing > 0
+    # an undecided concatenation parent that a config would send to MC
+    assert witness_for(couple("3,2,2", "NPNNNP"), None, store) is None
+
+
+def test_stored_mc_ancestor_lifts_without_sampling(monkeypatch):
+    parent = couple("2,2,2", "NNPPN")
+    found = mc_search(parent, SamplerConfig(seed=SEED, budget=100_000))
+    assert isinstance(found, Found) and found.witness.provenance.startswith("mc-search(")
+    targets = _record_mc_targets(monkeypatch)
+    sp = SignPattern.parse("2,2,2,1")
+    table = classify_pattern(sp, SamplerConfig(seed=SEED, budget=10_000), {parent: found.witness})
+    verdict = table[ModuliOrder("PNNPPN")]
+    assert verdict.status is Status.REALIZABLE
+    assert verdict.evidence.provenance == f"concatenation({parent})"
+    assert targets
+    assert Couple(sp, ModuliOrder("PNNPPN")) not in targets
+    assert parent not in targets
