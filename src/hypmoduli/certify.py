@@ -12,17 +12,19 @@ re-checks them without trusting the generator.
 Two encoded lemmas cover what matchings cannot: the neighbor-crossing
 argument (a realizable order is wall-connected to any other realizable
 order through σ-signed boundary polynomials (x²−1)R, so a region whose
-exit walls are all impossible contains no realizable order) and a
-two-inequality infeasibility for one specific boundary shape.
+exit walls are all impossible contains no realizable order) and the pair
+lemma, an exact predicate (`pair_lemma_blocks`) that closes one degree-6
+boundary shape by two inequalities proved in its docstring.
 `classify_pattern` runs each stage once: per-couple constructions,
 certificates and deterministic witnesses, one exclusion round, Monte
-Carlo on the orders still Unknown, and one more exclusion round.
+Carlo on the orders still Unknown, and one more exclusion round.  The
+only sampling here is `sample_certificate`, a soundness oracle over exact
+integer configurations that no verdict depends on.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -35,7 +37,6 @@ from .patterns import (
     canonical_order,
     compatible_orders,
     is_canonical_pattern,
-    is_compatible,
     is_rigid_order,
     neighbors,
     order_to_uvector,
@@ -327,6 +328,8 @@ def sample_certificate(
     """Statistical soundness oracle: expand random exact configurations
     respecting the certificate's order and count sign violations of q_k
     (zero expected).  Independent of the matching machinery."""
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     rng = random.Random(seed)
     levels = _rank_levels(cert.order)
     n_levels = max(levels)
@@ -348,64 +351,26 @@ def sample_certificate(
 # --------------------------------------------------- encoded pair lemma
 
 
-@dataclass(frozen=True, slots=True)
-class PairInfeasibilityCertificate:
-    """Encoded lemma: a boundary polynomial with one tied pair and free
-    roots +a, −f, −g, +b at increasing moduli a<f<g<b cannot have both
-    q_5 > 0 (that is a+b < f+g) and q_1 < 0 (that is 1/a+1/b < 1/f+1/g):
-    from b−g < f−a and af < bg the reciprocal sums order the other way.
-    Carries a randomized falsification pass as an independent oracle."""
+def pair_lemma_blocks(tied: TiedOrder, sp: SignPattern) -> bool:
+    """Encoded pair lemma: whether no polynomial on the degree-6 boundary
+    shape `tied` can carry the outer signs of sp.
 
-    tied: TiedOrder
-    chirality: str  # free letters in rank order: "PNNP" or its mirror "NPPN"
-    samples: int
-    counterexamples: int
-
-    def __str__(self) -> str:
-        return (
-            f"pair-infeasibility on {self.tied} ({self.chirality}): "
-            f"{self.counterexamples} counterexamples in {self.samples} samples"
-        )
-
-
-@functools.lru_cache(maxsize=8)
-def _pair_lemma_counterexamples(samples: int, seed: int) -> int:
-    """Falsification pass of the pair lemma: sampled a<f<g<b with both
-    a+b < f+g and 1/a+1/b < 1/f+1/g.  The pass depends on nothing but
-    (samples, seed), so each pair is run once per process."""
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(samples):
-        a, f, g, b = sorted(rng.uniform(0.01, 100.0) for _ in range(4))
-        if a + b < f + g and 1 / a + 1 / b < 1 / f + 1 / g:
-            bad += 1
-    return bad
-
-
-def pair_infeasibility_check(
-    tied: TiedOrder, sp: SignPattern, samples: int = 10_000, seed: int = 0
-) -> PairInfeasibilityCertificate:
-    """Match the boundary shape against the encoded lemma and run the
-    falsification oracle; raises ValueError("unsupported shape") when the
-    shape is not the one the lemma covers."""
+    The shape has one tied pair ±t and free roots +a, −f, −g, +b at
+    increasing moduli a<f<g<b (letters PNNP once the pair is removed).
+    The pair cancels from q_5 and from the reciprocal sum behind q_1, so
+    q_5 > 0 means a+b < f+g and q_1 < 0 means 1/a+1/b < 1/f+1/g.  Both
+    cannot hold: a+b < f+g gives f−a > b−g > 0, and af < bg, so
+    1/a − 1/f = (f−a)/(af) > (b−g)/(bg) = 1/g − 1/b.  Negating every root
+    maps the mirror shape NPPN with q_5 < 0, q_1 > 0 onto this one.  Any
+    other shape or sign choice returns False, which proves nothing.
+    """
     d = tied.degree
     if d != 6 or len(tied.tied) != 1 or sp.degree != d:
-        raise ValueError("unsupported shape")
+        return False
     r = tied.tied[0]
     free = "".join(ch for i, ch in enumerate(tied.letters, start=1) if i not in (r, r + 1))
     q5, q1 = sp.signs[1], sp.signs[d - 1]
-    if free == "PNNP" and q5 > 0 and q1 < 0:
-        chirality = "PNNP"
-    elif free == "NPPN" and q5 < 0 and q1 > 0:
-        chirality = "NPPN"  # mirror image under root negation
-    else:
-        raise ValueError("unsupported shape")
-    bad = _pair_lemma_counterexamples(samples, seed)
-    if bad:
-        raise ContradictionError(
-            f"pair-infeasibility lemma falsified on {bad}/{samples} samples"
-        )
-    return PairInfeasibilityCertificate(tied, chirality, samples, bad)
+    return (free == "PNNP" and q5 > 0 and q1 < 0) or (free == "NPPN" and q5 < 0 and q1 > 0)
 
 
 # ------------------------------------------------------------ verdicts
@@ -505,11 +470,9 @@ def _wall_block_reason(
     cert = contradicting_certificate(tied, sp)
     if cert is not None:
         return f"boundary forces q_{cert.k} {'positive' if cert.sign > 0 else 'negative'}"
-    try:
-        pair_infeasibility_check(tied, sp)
+    if pair_lemma_blocks(tied, sp):
         return "boundary infeasible by pair lemma"
-    except ValueError:
-        return None
+    return None
 
 
 def frontier_exclusion(
@@ -632,15 +595,3 @@ def classify_pattern(
                     f"{Couple(sp, order)} has both a witness and {verdict.evidence_kind} evidence"
                 )
     return table
-
-
-def decide(
-    couple: Couple,
-    cfg: SamplerConfig | None = None,
-    store: dict[Couple, Witness] | None = None,
-) -> Verdict:
-    """Verdict for a single couple (classifies the whole pattern and
-    indexes into it, so sibling evidence like propagation is available)."""
-    if not is_compatible(couple.sp, couple.order):
-        raise ValueError(f"incompatible couple {couple}")
-    return classify_pattern(couple.sp, cfg, store)[couple.order]

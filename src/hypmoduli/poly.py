@@ -61,7 +61,7 @@ def format_exact(value: Fraction) -> str:
 
 class ModuliTieError(ValueError):
     """Raised when root moduli are not pairwise distinct; carries the tied
-    root pairs so callers can route them to `perturb`."""
+    root pairs so callers can route them to `resolve_ties`."""
 
     def __init__(self, pairs: Sequence[tuple[Fraction, Fraction]]):
         self.pairs = tuple(pairs)
@@ -162,80 +162,51 @@ def tied_pairs_of(rc: RootConfiguration) -> list[tuple[Fraction, Fraction]]:
     return []
 
 
-def perturb(rc: RootConfiguration, plan: Iterable[Fraction], eps: Fraction) -> RootConfiguration:
-    """Shrink each planned root multiplicatively by (1 - eps).
-
-    The plan must pick exactly one root out of every tied-modulus pair;
-    shrinking (rather than shifting) keeps root signs and rationality.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
-    plan = list(plan)
-    ties = tied_pairs_of(rc)
-    for a, b in ties:
-        picked = [r for r in (a, b) if r in plan]
-        if len(picked) != 1:
-            raise ValueError(
-                f"plan must pick exactly one of the tied roots {format_exact(a)}, {format_exact(b)}"
-            )
-    remaining = list(rc.roots)
-    shrunk = []
-    for chosen in plan:
-        remaining.remove(chosen)  # raises if the plan names an absent root
-        shrunk.append(chosen * (1 - eps))
-    return RootConfiguration(tuple(remaining + shrunk))
-
-
 def couple_of(rc: RootConfiguration) -> Couple:
     """(sign pattern of the expansion, order of moduli); by the root-count
     bookkeeping this couple is always compatible."""
     return Couple(sign_pattern_of(expand(rc)), moduli_order_of(rc))
 
 
-def plan_for_target(rc: RootConfiguration, target_order: ModuliOrder) -> list[Fraction]:
-    """Derive which root of each tied pair must shrink so the configuration
-    can realize `target_order`: the letter at the lower of the two tied
-    ranks names the sign of the root that shrinks below its partner."""
-    ties = tied_pairs_of(rc)
-    if not ties:
-        return []
-    flat = [r for pair in ties for r in pair]
-    if len(set(flat)) != len(flat):
-        raise ValueError("three or more roots share a modulus; no pairwise plan exists")
-    ordered = rc.roots
-    plan = []
-    for a, b in ties:
+_MAX_HALVINGS = 64  # shrink factors 1 - 2^-k that `resolve_ties` tries
+
+
+def resolve_ties(rc: RootConfiguration, target: Couple) -> RootConfiguration:
+    """Shrink one root of each tied-modulus pair until the configuration
+    realizes `target`.
+
+    The target letter at the lower rank of a tied pair names the sign of
+    the root that must drop below its partner.  That root is multiplied by
+    1 - 2^-k for k = 1.._MAX_HALVINGS, which keeps root signs and
+    rationality; every candidate is re-validated exactly.
+    """
+    shrink = []
+    for a, b in tied_pairs_of(rc):
         if (a > 0) == (b > 0):
             raise ValueError("tied roots of equal sign cannot be ordered by any P/N target")
-        rank = ordered.index(a)  # 0-based rank of the lower tied slot
-        letter = target_order.letters[rank]
-        partner_letter = target_order.letters[rank + 1]
+        rank = rc.roots.index(a)  # 0-based rank of the lower tied slot
+        letter, partner_letter = target.order.letters[rank : rank + 2]
         if {letter, partner_letter} != {"P", "N"}:
-            raise ValueError(f"target order {target_order} does not split the tie at ranks {rank + 1},{rank + 2}")
-        plan.append(a if (a > 0) == (letter == "P") else b)
-    return plan
-
-
-def resolve_ties(rc: RootConfiguration, target: Couple, max_halvings: int = 64) -> RootConfiguration:
-    """Perturb tied moduli until the configuration realizes `target`.
-
-    Tries eps = 2^-k for k = 1..max_halvings with the plan derived from the
-    target order; every candidate is re-validated exactly.
-    """
-    if not tied_pairs_of(rc):
+            raise ValueError(
+                f"target order {target.order} does not split the tie at ranks {rank + 1},{rank + 2}"
+            )
+        shrink.append(a if (a > 0) == (letter == "P") else b)
+    if not shrink:
         if couple_of(rc) != target:
             raise ValueError(f"configuration realizes {couple_of(rc)}, not {target}")
         return rc
-    plan = plan_for_target(rc, target.order)
-    for k in range(1, max_halvings + 1):
-        candidate = perturb(rc, plan, Fraction(1, 2**k))
+    kept = list(rc.roots)
+    for r in shrink:
+        kept.remove(r)
+    for k in range(1, _MAX_HALVINGS + 1):
+        factor = 1 - Fraction(1, 2**k)
+        candidate = RootConfiguration(tuple(kept + [r * factor for r in shrink]))
         try:
             if couple_of(candidate) == target:
                 return candidate
-        except (ModuliTieError, ValueError):
+        except ValueError:  # a vanishing coefficient or a new tie
             continue
-    raise ValueError(f"no perturbation of {rc} realizes {target} within {max_halvings} halvings")
+    raise ValueError(f"no perturbation of {rc} realizes {target} within {_MAX_HALVINGS} halvings")
 
 
 class WitnessError(ValueError):

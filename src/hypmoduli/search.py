@@ -22,21 +22,16 @@ from .patterns import (
     ModuliOrder,
     SignPattern,
     canonical_order,
-    descartes_counts,
     is_compatible,
     is_rigid_order,
     rigid_sign_pattern,
     signs_to_cp,
 )
-from .poly import (
-    RootConfiguration,
-    Witness,
-    couple_of,
-    make_witness,
-)
+from .poly import RootConfiguration, Witness, make_witness
 from .symmetry import GROUP_ELEMENTS, apply_group
 
 MC_DISTRIBUTIONS = ("mixed", "uniform", "loguniform")
+_MAX_HALVINGS = 64  # epsilon halvings `concatenate` tries before giving up
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,8 +55,8 @@ class SamplerConfig:
             raise ValueError("budget must be at least 1")
         if self.dist not in MC_DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {MC_DISTRIBUTIONS}")
-        if self.max_modulus <= 1:
-            raise ValueError("max_modulus must exceed 1")
+        if not (math.isfinite(self.max_modulus) and self.max_modulus > 1):
+            raise ValueError("max_modulus must be finite and exceed 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,18 +117,10 @@ def _sign_filter(d: int):
     return namespace["signs_match"]
 
 
-def _units(letters: str) -> tuple[float, ...]:
-    """Root signs of an order as factors: 1.0 for P, -1.0 for N."""
-    return tuple(1.0 if letter == "P" else -1.0 for letter in letters)
-
-
 def _moduli_draws(rng: random.Random, d: int, cfg: SamplerConfig):
     """One draw of d sorted moduli per iteration, without end; None in
     place of a draw with a zero or repeated modulus, a measure-zero event
     that no order of distinct nonzero moduli can describe.
-
-    Each draw is taken only when the next one is asked for, so callers
-    may use `rng` in between.
     """
     # random() and top * random() are exactly uniform(0, 1) and
     # uniform(0, top), value for value and in RNG use, which recorded
@@ -147,10 +134,6 @@ def _moduli_draws(rng: random.Random, d: int, cfg: SamplerConfig):
             moduli = [m * 10 ** (top * rand()) for m in moduli]
         moduli.sort()
         yield None if moduli[0] == 0.0 or len(set(moduli)) < d else moduli
-
-
-def _signed_floats(moduli: list[float], order: ModuliOrder) -> list[float]:
-    return [m if letter == "P" else -m for m, letter in zip(moduli, order.letters)]
 
 
 def _rounded_witness(w: Witness) -> Witness | None:
@@ -180,7 +163,7 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
     rng = random.Random(derive_seed(cfg.seed, target))
     d = target.sp.degree
     signs_match = _sign_filter(d)
-    units = _units(target.order.letters)
+    units = tuple(1.0 if letter == "P" else -1.0 for letter in target.order.letters)
     rejections = 0
     for iteration, moduli in zip(range(cfg.budget), _moduli_draws(rng, d, cfg)):
         if moduli is None:
@@ -188,8 +171,7 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
         if not signs_match(moduli, units, target.sp.signs):
             rejections += 1
             continue
-        floats = _signed_floats(moduli, target.order)
-        exact = RootConfiguration(tuple(Fraction(f) for f in floats))
+        exact = RootConfiguration(tuple(Fraction(m * u) for m, u in zip(moduli, units)))
         provenance = f"mc-search(seed={cfg.seed},iteration={iteration + 1})"
         witness = make_witness(exact, provenance, seed=cfg.seed)
         if witness.couple != target:
@@ -199,15 +181,15 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
     return Exhausted(target, cfg.budget, rejections)
 
 
-def concatenate(parent: Witness, root_sign: str, max_halvings: int = 64) -> Witness:
+def concatenate(parent: Witness, root_sign: str) -> Witness:
     """Multiply a parent witness by (x - eps) or (x + eps) for a fresh root
     of strictly smallest modulus.
 
     A new positive root prepends P to the order and appends the negated
     last sign to the pattern; a negative root prepends N and repeats the
-    last sign.  eps starts at half the smallest parent modulus and halves
-    until the exact expansion reproduces the parent's signs above the new
-    constant term.
+    last sign.  eps starts at half the smallest parent modulus and halves,
+    at most _MAX_HALVINGS times, until the exact expansion reproduces the
+    parent's signs above the new constant term.
     """
     if root_sign not in ("P", "N"):
         raise ValueError("root_sign must be 'P' or 'N'")
@@ -219,7 +201,7 @@ def concatenate(parent: Witness, root_sign: str, max_halvings: int = 64) -> Witn
         ModuliOrder(root_sign + parent.couple.order.letters),
     )
     eps = min(abs(r) for r in parent.roots.roots) / 2
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         root = eps if root_sign == "P" else -eps
         rc = RootConfiguration(parent.roots.roots + (root,))
         try:
@@ -349,36 +331,3 @@ def witness_for(
     if isinstance(outcome, Found):
         return outcome.witness
     return None
-
-
-def canonical_order_census(sp: SignPattern, samples: int, seed: int = 0) -> dict[str, int]:
-    """Sample configurations with sp's root-sign counts and random moduli,
-    keep those whose expansion carries sp, and tally their orders.
-
-    For a canonical pattern the tally should put every hit on the
-    canonical order — hits elsewhere are re-checked exactly before being
-    counted, so a non-canonical entry here is real evidence, not float
-    noise.
-    """
-    pos, neg = descartes_counts(sp)
-    d = sp.degree
-    expected = canonical_order(sp).letters
-    rng = random.Random(derive_seed(seed, Couple(sp, canonical_order(sp))))
-    cfg = SamplerConfig(seed=seed)
-    signs_match = _sign_filter(d)
-    census: dict[str, int] = {}
-    for moduli in itertools.islice(_moduli_draws(rng, d, cfg), samples):
-        if moduli is None:
-            continue
-        signs = ["P"] * pos + ["N"] * neg
-        rng.shuffle(signs)
-        letters = "".join(signs)
-        if not signs_match(moduli, _units(letters), sp.signs):
-            continue
-        if letters != expected:
-            floats = _signed_floats(moduli, ModuliOrder(letters))
-            exact = RootConfiguration(tuple(Fraction(f) for f in floats))
-            if couple_of(exact).sp != sp:
-                continue  # float artifact near a sign boundary
-        census[letters] = census.get(letters, 0) + 1
-    return census

@@ -284,7 +284,7 @@ def test_criterion_7_property_suites_at_full_size():
     properties.test_census_on_non_canonical_pattern_spreads_over_realizable_orders()
     properties.test_mc_search_is_deterministic_byte_for_byte()
     properties.test_derive_seed_is_stable_and_couple_sensitive()
-    _report(7, "involution, round-trip, Vieta, canonicality-census, and "
+    _report(7, "involution, round-trip, Vieta, MC canonicality, and "
                "determinism suites all hold at full size")
 
 

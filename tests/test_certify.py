@@ -1,10 +1,12 @@
 """Forced-sign certificates, encoded lemmas, and the decision pipeline."""
 
 import dataclasses
+import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from hypmoduli import certify
 from hypmoduli.certify import (
     CertificateError,
     ContradictionError,
@@ -15,10 +17,9 @@ from hypmoduli.certify import (
     classify_pattern,
     coefficient_monomials,
     contradicting_certificate,
-    decide,
     forced_sign,
     frontier_exclusion,
-    pair_infeasibility_check,
+    pair_lemma_blocks,
     propagate,
     refute,
     sample_certificate,
@@ -35,6 +36,7 @@ from hypmoduli.patterns import (
     order_to_uvector,
     uvector_to_order,
 )
+from hypmoduli.poly import RootConfiguration, expand
 from hypmoduli.published import published_witnesses
 from hypmoduli.search import SamplerConfig, constructive_witness, rigid_witness
 
@@ -193,42 +195,89 @@ def test_certificates_survive_random_sampling():
 
 def test_pair_lemma_bottom_tie():
     tied = TiedOrder.wall(U(0, 1, 2, 0), U(1, 0, 2, 0))
-    cert = pair_infeasibility_check(tied, SignPattern.parse("2,1,2,2"))
-    assert cert.chirality == "PNNP"
-    assert cert.counterexamples == 0
+    assert pair_lemma_blocks(tied, SignPattern.parse("2,1,2,2"))
 
 
 def test_pair_lemma_top_tie():
     tied = TiedOrder.wall(U(0, 2, 1, 0), U(0, 2, 0, 1))
-    cert = pair_infeasibility_check(tied, SignPattern.parse("2,1,2,2"))
-    assert cert.chirality == "PNNP"
+    assert pair_lemma_blocks(tied, SignPattern.parse("2,1,2,2"))
 
 
 def test_pair_lemma_mirror_shape():
-    tied = TiedOrder("NPNPPN", (1,))
-    cert = pair_infeasibility_check(tied, SignPattern.parse("1,3,2,1"))
-    assert cert.chirality == "NPPN"
-
-
-def test_pair_lemma_falsification_pass_runs_once_per_seed():
-    tied = TiedOrder.wall(U(0, 1, 2, 0), U(1, 0, 2, 0))
-    sp = SignPattern.parse("2,1,2,2")
-    first = pair_infeasibility_check(tied, sp, samples=1234, seed=5)
-    before = certify._pair_lemma_counterexamples.cache_info()
-    again = pair_infeasibility_check(TiedOrder.wall(U(0, 2, 1, 0), U(0, 2, 0, 1)), sp,
-                                     samples=1234, seed=5)
-    after = certify._pair_lemma_counterexamples.cache_info()
-    assert after.misses == before.misses and after.hits == before.hits + 1
-    assert (first.samples, first.counterexamples) == (again.samples, again.counterexamples)
-    assert (first.samples, first.counterexamples) == (1234, 0)
+    assert pair_lemma_blocks(TiedOrder("NPNPPN", (1,)), SignPattern.parse("1,3,2,1"))
+    # each shape takes only its own outer signs
+    assert not pair_lemma_blocks(TiedOrder("NPNPPN", (1,)), SignPattern.parse("2,1,2,2"))
+    assert not pair_lemma_blocks(TiedOrder("PNPNNP", (1,)), SignPattern.parse("1,3,2,1"))
 
 
 def test_pair_lemma_rejects_other_shapes():
-    with pytest.raises(ValueError, match="unsupported shape"):
-        pair_infeasibility_check(TiedOrder("PPNNNP", (5,)), SignPattern.parse("2,1,2,2"))
-    with pytest.raises(ValueError, match="unsupported shape"):
-        # free letters match but the pattern's outer signs do not
-        pair_infeasibility_check(TiedOrder("PNPNNP", (1,)), SignPattern.parse("3,1,2,1"))
+    assert not pair_lemma_blocks(TiedOrder("PPNNNP", (5,)), SignPattern.parse("2,1,2,2"))
+    # free letters match but the pattern's outer signs do not
+    assert not pair_lemma_blocks(TiedOrder("PNPNNP", (1,)), SignPattern.parse("3,1,2,1"))
+    # only degree 6 with a single tie
+    assert not pair_lemma_blocks(TiedOrder("PNPNNP", (1, 3)), SignPattern.parse("2,1,2,2"))
+    assert not pair_lemma_blocks(TiedOrder("PNNNP", (1,)), SignPattern.parse("2,1,2,1"))
+
+
+def test_pair_lemma_statement_holds_exactly():
+    """a<f<g<b never has both a+b < f+g and 1/a+1/b < 1/f+1/g, in exact
+    arithmetic over 10,000 draws of hundredths in (0, 100]."""
+    rng = random.Random(SEED)
+    sums_below = reciprocals_below = 0
+    for _ in range(10_000):
+        quad: set[Fraction] = set()
+        while len(quad) < 4:
+            quad.add(Fraction(rng.randint(1, 10_000), 100))
+        a, f, g, b = sorted(quad)
+        sum_below = a + b < f + g
+        reciprocal_below = 1 / a + 1 / b < 1 / f + 1 / g
+        assert not (sum_below and reciprocal_below), (a, f, g, b)
+        sums_below += sum_below
+        reciprocals_below += reciprocal_below
+    assert sums_below > 1000 and reciprocals_below > 1000
+
+
+def _single_tie_orders(d):
+    for letters in itertools.product("PN", repeat=d):
+        for r in range(1, d):
+            if letters[r - 1] != letters[r]:
+                yield TiedOrder("".join(letters), (r,))
+
+
+def test_pair_lemma_blocks_only_sound_walls():
+    """Every wall the predicate blocks is empty of its patterns' outer
+    signs: 500 exact integer configurations per wall, tie respected."""
+    patterns = [sp for c in range(7) for sp in enumerate_patterns(6, c)]
+    assert len(patterns) == 64
+    blocked = {}
+    for tied in _single_tie_orders(6):
+        for sp in patterns:
+            if pair_lemma_blocks(tied, sp):
+                blocked.setdefault(tied, []).append(sp)
+    assert sum(len(sps) for sps in blocked.values()) == 320
+    assert len(blocked) == 20
+
+    rng = random.Random(SEED)
+    for tied, sps in blocked.items():
+        r = tied.tied[0]
+        levels = list(itertools.accumulate(0 if rank == r + 1 else 1 for rank in range(1, 7)))
+        outer_signs = {(sp.signs[1], sp.signs[5]) for sp in sps}
+        assert len(outer_signs) == 1
+        (q5, q1), = outer_signs
+        q5_seen = q1_seen = 0
+        for _ in range(500):
+            values = sorted(rng.sample(range(1, 201), 5))
+            roots = tuple(
+                Fraction(values[lvl - 1] if ch == "P" else -values[lvl - 1])
+                for lvl, ch in zip(levels, tied.letters)
+            )
+            coeffs = expand(RootConfiguration(roots)).coefficients
+            q5_here = coeffs[1] * q5 > 0
+            q1_here = coeffs[5] * q1 > 0
+            assert not (q5_here and q1_here), (tied, roots)
+            q5_seen += q5_here
+            q1_seen += q1_here
+        assert q5_seen and q1_seen, tied
 
 
 # ------------------------------------------------------------ refute
@@ -455,29 +504,24 @@ def test_classification_commutes_with_sign_flip(cfg, store):
 
 
 def test_decide_rigid_order(cfg, store):
-    verdict = decide(Couple(SignPattern.parse("3,1,2,1"), ModuliOrder("PNPNPN")), cfg, store)
+    verdict = classify_pattern(SignPattern.parse("3,1,2,1"), cfg, store)[ModuliOrder("PNPNPN")]
     assert verdict.status is Status.NON_REALIZABLE
     assert verdict.evidence_kind == "rigid-order"
     assert verdict.citation == "rigid-orders"
 
 
 def test_decide_canonical_couple(cfg, store):
-    verdict = decide(Couple(SignPattern.parse("1,3,1,2"), ModuliOrder("NPPNNP")), cfg, store)
+    verdict = classify_pattern(SignPattern.parse("1,3,1,2"), cfg, store)[ModuliOrder("NPPNNP")]
     assert verdict.status is Status.REALIZABLE
     assert verdict.citation == "canonical-realizable"
     assert verdict.evidence.is_valid()
 
 
 def test_decide_forced_sign(cfg, store):
-    verdict = decide(Couple(SignPattern.parse("2,1,2,2"), U(2, 1, 0, 0)), cfg, store)
+    verdict = classify_pattern(SignPattern.parse("2,1,2,2"), cfg, store)[U(2, 1, 0, 0)]
     assert verdict.status is Status.NON_REALIZABLE
     assert verdict.evidence_kind == "forced-sign"
     assert verdict.evidence.k == 5 and verdict.evidence.sign == -1
-
-
-def test_decide_rejects_incompatible_couples(cfg, store):
-    with pytest.raises(ValueError):
-        decide(Couple(SignPattern.parse("3,1,2,1"), ModuliOrder("PPNNNN")), cfg, store)
 
 
 def test_contradiction_on_corrupt_store(cfg, store):

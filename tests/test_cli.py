@@ -195,6 +195,13 @@ def test_certify_full_scan(capsys):
     assert "strict via" in out
 
 
+def test_certify_negative_samples_exit_2(capsys):
+    rc, out, err = run(capsys, "certify", "--order", "NNPNPP", "--coeff", "5", "--samples", "-5")
+    assert rc == 2
+    assert out == ""
+    assert "samples must be non-negative" in err
+
+
 def test_certify_degree_mismatch(capsys):
     rc, _, err = run(capsys, "certify", "--order", "PNN", "--pattern", "++--++-")
     assert rc == 2
@@ -370,6 +377,23 @@ def test_config_file_errors(tmp_path, capsys):
     )
     assert rc == 2
     assert "expected key=value" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_max_modulus_exit_2(tmp_path, capsys, bad):
+    empty = tmp_path / "empty.tsv"
+    save_witnesses(empty, [])
+    base = ("search", "--pattern", "2,1,2,2", "--order", "NPPNPN", "--store", str(empty),
+            "--dist", "loguniform", "--budget", "1000")
+    rc, out, err = run(capsys, *base, "--max-modulus", bad)
+    assert (rc, out) == (2, "")
+    assert "max_modulus must be finite" in err
+
+    config = tmp_path / "sampler.cfg"
+    config.write_text(f"max_modulus={bad}\n", encoding="utf-8")
+    rc, out, err = run(capsys, *base, "--config", str(config))
+    assert (rc, out) == (2, "")
+    assert "max_modulus must be finite" in err
 
 
 # ------------------------------------------------------------ failures

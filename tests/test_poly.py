@@ -20,8 +20,6 @@ from hypmoduli.poly import (
     make_witness,
     moduli_order_of,
     parse_exact,
-    perturb,
-    plan_for_target,
     resolve_ties,
     save_witnesses,
     sign_pattern_of,
@@ -143,25 +141,19 @@ def test_couple_of_small_example():
     assert couple_of(rc("1", "2")).order == ModuliOrder("PP")
 
 
-def test_perturb_plan_validation():
-    c = rc("0.2", "1", "-1", "3.1", "-5", "-10")
-    with pytest.raises(ValueError, match="exactly one"):
-        perturb(c, [], Fraction(1, 8))
-    with pytest.raises(ValueError, match="exactly one"):
-        perturb(c, [Fraction(1), Fraction(-1)], Fraction(1, 8))
-    with pytest.raises(ValueError, match="eps"):
-        perturb(c, [Fraction(1)], Fraction(3, 2))
-    out = perturb(c, [Fraction(1)], Fraction(1, 8))
-    assert Fraction(7, 8) in out.roots and Fraction(1) not in out.roots
-
-
 def test_plan_for_target_picks_shrinking_root():
+    """The target letter at the lower tied rank names the root that shrinks."""
     c = rc("0.2", "1", "-1", "3.1", "-5", "-10")
-    target = ModuliOrder("PPNPNN")  # tied ranks 2,3 resolve as P below N
-    assert plan_for_target(c, target) == [Fraction(1)]
-    assert plan_for_target(c, ModuliOrder("PNPPNN")) == [Fraction(-1)]
+    p_below = couple_of(rc("0.2", "0.5", "-1", "3.1", "-5", "-10"))
+    assert p_below.order == ModuliOrder("PPNPNN")
+    assert resolve_ties(c, p_below) == rc("0.2", "0.5", "-1", "3.1", "-5", "-10")
+    n_below = couple_of(rc("0.2", "1", "-0.5", "3.1", "-5", "-10"))
+    assert n_below.order == ModuliOrder("PNPPNN")
+    assert resolve_ties(c, n_below) == rc("0.2", "1", "-0.5", "3.1", "-5", "-10")
     with pytest.raises(ValueError, match="does not split"):
-        plan_for_target(c, ModuliOrder("PPPNNN"[::-1]))  # NN at the tied ranks
+        resolve_ties(c, Couple(p_below.sp, ModuliOrder("PPPNNN"[::-1])))  # NN at the tied ranks
+    with pytest.raises(ValueError, match="equal sign"):
+        resolve_ties(rc("1", "1", "2"), couple_of(rc("1", "2", "3")))
 
 
 def test_resolve_ties_reaches_target_couple():
@@ -172,8 +164,7 @@ def test_resolve_ties_reaches_target_couple():
     assert not tied_pairs_of(out)
     # double tie, both pairs resolved in one pass
     c2 = rc("2", "-2", "3", "-3")
-    plan2 = plan_for_target(c2, ModuliOrder("PNNP"))
-    target2 = couple_of(perturb(c2, plan2, Fraction(1, 8)))
+    target2 = couple_of(rc("7/4", "-2", "-21/8", "3"))
     out2 = resolve_ties(c2, target2)
     assert couple_of(out2) == target2 and target2.order == ModuliOrder("PNNP")
 

@@ -2,7 +2,7 @@
 
 Exhaustive group/round-trip laws for every pattern and order up to degree
 8, an exact Vieta cross-check on a thousand random configurations, large
-statistical canonicality runs, and byte-for-byte sampler determinism.
+Monte Carlo canonicality runs, and byte-for-byte sampler determinism.
 """
 
 import itertools
@@ -33,9 +33,9 @@ from hypmoduli.patterns import (
 )
 from hypmoduli.poly import RootConfiguration, _witness_line, couple_of, expand
 from hypmoduli.search import (
+    Exhausted,
     Found,
     SamplerConfig,
-    canonical_order_census,
     derive_seed,
     mc_search,
 )
@@ -208,22 +208,32 @@ def test_expansion_matches_vieta_on_fraction_lists(roots):
 # ------------------------------------------------ statistical canonicality
 
 
+def _search_every_order(sp, budget):
+    """One MC search per compatible order of sp; the orders found."""
+    found = set()
+    for order in compatible_orders(sp):
+        outcome = mc_search(Couple(sp, order), SamplerConfig(seed=SEED, budget=budget))
+        if isinstance(outcome, Found):
+            found.add(order.letters)
+        else:
+            assert isinstance(outcome, Exhausted)
+    return found
+
+
 @pytest.mark.parametrize("text", ["+----+-", "++++-+-", "+---+--"])
 def test_canonical_patterns_realize_only_their_canonical_order(text):
     sp = SignPattern.parse(text)
-    census = canonical_order_census(sp, samples=100_000, seed=SEED)
-    expected = canonical_order(sp).letters
-    assert set(census) == {expected}
-    assert census[expected] >= 100
+    assert len(compatible_orders(sp)) == 20
+    assert _search_every_order(sp, budget=5_000) == {canonical_order(sp).letters}
 
 
 def test_census_on_non_canonical_pattern_spreads_over_realizable_orders():
     sp = SignPattern.parse("+++-++-")
-    census = canonical_order_census(sp, samples=20_000, seed=SEED)
+    found = _search_every_order(sp, budget=1_000)
     realizable = {"PPPNNN", "PPNPNN", "PPNNPN", "PNPPNN", "NPPPNN"}
-    assert set(census) <= realizable
-    assert len(census) >= 2
-    assert canonical_order(sp).letters in census
+    assert found <= realizable
+    assert len(found) >= 2
+    assert canonical_order(sp).letters in found
 
 
 # ------------------------------------------------------------ determinism

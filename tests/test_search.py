@@ -18,7 +18,6 @@ from hypmoduli.search import (
     Exhausted,
     Found,
     SamplerConfig,
-    canonical_order_census,
     canonical_witness,
     concatenate,
     constructive_witness,
@@ -45,6 +44,9 @@ def test_sampler_config_validation():
         SamplerConfig(dist="gaussian")
     with pytest.raises(ValueError):
         SamplerConfig(max_modulus=1.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SamplerConfig(max_modulus=bad)
 
 
 def test_derive_seed_stable_and_couple_dependent():
@@ -301,13 +303,6 @@ def test_witness_for_stage_mc_fallback_and_none():
 def test_witness_for_rejects_incompatible():
     with pytest.raises(ValueError, match="incompatible"):
         witness_for(couple("2,2,2,1", "PPPPPP"))
-
-
-def test_canonical_order_census_small():
-    sp = SignPattern.parse("4,1,1,1")
-    census = canonical_order_census(sp, 5000, seed=7)
-    assert census, "expected at least one pattern hit in 5000 samples"
-    assert set(census) == {canonical_order(sp).letters}
 
 
 def _record_mc_targets(monkeypatch) -> list[Couple]:
