@@ -25,10 +25,10 @@ integer configurations that no verdict depends on.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .patterns import (
     Couple,
@@ -43,7 +43,7 @@ from .patterns import (
     rigid_sign_pattern,
     uvector_to_order,
 )
-from .poly import RootConfiguration, Witness, expand
+from .poly import Witness, integer_product
 from .search import SamplerConfig, constructive_witness, witness_for
 
 
@@ -241,9 +241,12 @@ def _max_matching(
     return {m: M for M, m in matched.items()}
 
 
+@functools.cache
 def forced_sign(order: ModuliOrder | TiedOrder, k: int) -> ForcedSignCertificate | None:
     """Search for a dominance matching forcing the sign of q_k under the
-    order; absence of a certificate proves nothing."""
+    order; absence of a certificate proves nothing.  Memoized: the
+    certificate depends on (order, k) alone, and the sweep asks for the
+    same one from many patterns."""
     census = coefficient_monomials(order.degree, k, order)
     if not census:
         return None
@@ -325,24 +328,24 @@ def verify_certificate(cert: ForcedSignCertificate) -> bool:
 def sample_certificate(
     cert: ForcedSignCertificate, samples: int = 10_000, seed: int = 0
 ) -> int:
-    """Statistical soundness oracle: expand random exact configurations
-    respecting the certificate's order and count sign violations of q_k
-    (zero expected).  Independent of the matching machinery."""
+    """Statistical soundness oracle: draw random integer moduli respecting
+    the certificate's order (L distinct integers in 1..10L for its L
+    levels; tied ranks share one), expand the roots exactly over `int` with
+    `integer_product`, and count sign violations of q_k (zero expected).
+    Independent of the matching machinery."""
     if samples < 0:
         raise ValueError("samples must be non-negative")
     rng = random.Random(seed)
     levels = _rank_levels(cert.order)
     n_levels = max(levels)
-    d = cert.order.degree
+    index = cert.order.degree - cert.k
+    signed_levels = [
+        (lvl - 1, 1 if ch == "P" else -1) for lvl, ch in zip(levels, cert.order.letters)
+    ]
     violations = 0
     for _ in range(samples):
         values = sorted(rng.sample(range(1, 10 * n_levels + 1), n_levels))
-        moduli = [Fraction(values[lvl - 1]) for lvl in levels]
-        roots = tuple(
-            m if ch == "P" else -m for m, ch in zip(moduli, cert.order.letters)
-        )
-        coeffs = expand(RootConfiguration(roots)).coefficients
-        q_k = coeffs[d - cert.k]
+        q_k = integer_product((s * values[i], 1) for i, s in signed_levels)[index]
         if q_k * cert.sign <= 0:
             violations += 1
     return violations

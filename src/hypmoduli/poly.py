@@ -1,10 +1,11 @@
 """Exact-arithmetic bridge between root configurations and couples.
 
-Everything here runs on `fractions.Fraction`: root configurations are
-multisets of non-zero exact rationals, expansion is the exact monic product
-of (x - r), and the extractors read off the coefficient sign pattern and
-the order of root moduli.  Floating point never enters a validation path,
-so witness checks are bit-precise.
+Root configurations are multisets of non-zero exact rationals
+(`fractions.Fraction`).  Expansion clears denominators and multiplies over
+`int` (`integer_product`), then divides by the leading coefficient, so the
+monic product of (x - r) comes out exactly.  The extractors read off the
+coefficient sign pattern and the order of root moduli.  Floating point
+never enters a validation path, so witness checks are bit-precise.
 """
 
 from __future__ import annotations
@@ -116,16 +117,27 @@ class Polynomial:
         return "[" + ", ".join(format_exact(c) for c in self.coefficients) + "]"
 
 
-def expand(rc: RootConfiguration) -> Polynomial:
-    """The exact monic product prod (x - r) over the configuration."""
-    coeffs = [Fraction(1)]
-    for root in rc.roots:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c
-            nxt[i + 1] -= c * root
+def integer_product(pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Coefficients, leading first, of prod (b*x - a) over integer pairs
+    (a, b): the one exact expansion loop."""
+    coeffs = [1]
+    for a, b in pairs:
+        prev = 0
+        nxt = []
+        for c in coeffs:
+            nxt.append(b * c - a * prev)
+            prev = c
+        nxt.append(-a * prev)
         coeffs = nxt
-    return Polynomial(tuple(coeffs))
+    return coeffs
+
+
+def expand(rc: RootConfiguration) -> Polynomial:
+    """The exact monic product prod (x - r) over the configuration: each
+    root r = a/b enters as the integer factor (b*x - a)."""
+    coeffs = integer_product((r.numerator, r.denominator) for r in rc.roots)
+    lead = coeffs[0]
+    return Polynomial(tuple(Fraction(c, lead) for c in coeffs))
 
 
 def sign_pattern_of(p: Polynomial) -> SignPattern:

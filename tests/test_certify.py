@@ -10,6 +10,7 @@ import pytest
 from hypmoduli.certify import (
     CertificateError,
     ContradictionError,
+    ForcedSignCertificate,
     FrontierEvidence,
     Status,
     TiedOrder,
@@ -188,6 +189,52 @@ def test_certificates_survive_random_sampling():
         forced_sign(TiedOrder("NPPPNN", (1,)), 2),
     ):
         assert sample_certificate(cert, samples=2000, seed=SEED) == 0
+
+
+def _fraction_violations(cert, samples, seed):
+    """Reference sampler: the draws of `sample_certificate`, expanded as
+    `Fraction` roots through `expand`."""
+    rng = random.Random(seed)
+    d = cert.order.degree
+    tied_upper = {r + 1 for r in getattr(cert.order, "tied", ())}
+    levels = list(
+        itertools.accumulate(0 if rank in tied_upper else 1 for rank in range(1, d + 1))
+    )
+    violations = 0
+    for _ in range(samples):
+        values = sorted(rng.sample(range(1, 10 * levels[-1] + 1), levels[-1]))
+        roots = tuple(
+            Fraction(values[lvl - 1] if ch == "P" else -values[lvl - 1])
+            for lvl, ch in zip(levels, cert.order.letters)
+        )
+        q_k = expand(RootConfiguration(roots)).coefficients[d - cert.k]
+        violations += q_k * cert.sign <= 0
+    return violations
+
+
+def test_sampler_counts_violations_of_unsound_claims():
+    """The sampler must be able to fail: flipped certificates violate on
+    every draw, and sign claims on coefficients without a certificate
+    violate on some.  Counts equal the `Fraction` reference."""
+    samples = 30
+    orders = [ModuliOrder("".join(letters)) for letters in itertools.product("PN", repeat=6)]
+    flipped, unproved = [], []
+    for order in orders[::8] + list(_single_tie_orders(6))[::16]:
+        for k in range(6):
+            cert = forced_sign(order, k)
+            if cert is not None:
+                flipped.append(dataclasses.replace(cert, sign=-cert.sign))
+            else:
+                unproved.extend(
+                    ForcedSignCertificate(order, k, sign, (), ("unmatched-majority", None))
+                    for sign in (1, -1)
+                )
+    assert (len(flipped), len(unproved)) == (74, 68)
+    counts = [sample_certificate(c, samples=samples, seed=SEED) for c in flipped + unproved]
+    assert counts == [_fraction_violations(c, samples, SEED) for c in flipped + unproved]
+    assert counts[: len(flipped)] == [samples] * len(flipped)
+    mixed = [n for n in counts[len(flipped):] if 0 < n < samples]
+    assert (len(mixed), sum(counts)) == (50, 3240)  # recorded with the Fraction sampler
 
 
 # ------------------------------------------------------------ pair lemma

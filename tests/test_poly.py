@@ -16,6 +16,7 @@ from hypmoduli.poly import (
     couple_of,
     expand,
     format_exact,
+    integer_product,
     load_witnesses,
     make_witness,
     moduli_order_of,
@@ -106,6 +107,52 @@ def test_expand_golden_with_tied_moduli():
 )
 @settings(max_examples=200, deadline=None)
 def test_expand_matches_symmetric_function_oracle(roots):
+    c = RootConfiguration(tuple(roots))
+    assert list(expand(c).coefficients) == naive_expand(list(c.roots))
+
+
+def _fraction_product(pairs):
+    # independent oracle: multiply the linear factors (b*x - a) in Fraction
+    coeffs = [Fraction(1)]
+    for a, b in pairs:
+        coeffs = [
+            Fraction(b) * hi - Fraction(a) * lo
+            for hi, lo in zip(coeffs + [Fraction(0)], [Fraction(0)] + coeffs)
+        ]
+    return coeffs
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-10**12, 10**12), st.integers(2, 10**12)),
+        min_size=0,
+        max_size=8,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_product_matches_fraction_product(pairs):
+    product = integer_product(pairs)
+    assert all(type(c) is int for c in product)
+    assert product == _fraction_product(pairs)
+
+
+_WIDE_DENOMINATORS = st.one_of(
+    st.builds(
+        Fraction,
+        st.integers(-(2**60), 2**60).filter(lambda n: n != 0),
+        st.integers(2**50, 2**53),
+    ),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    .filter(lambda f: f != 0)
+    .map(Fraction),
+)
+
+
+@given(st.lists(_WIDE_DENOMINATORS, min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_expand_matches_oracle_on_wide_denominators(roots):
+    """Float-derived MC witnesses carry denominators near 2^52; the integer
+    expansion must clear and restore them exactly."""
     c = RootConfiguration(tuple(roots))
     assert list(expand(c).coefficients) == naive_expand(list(c.roots))
 
