@@ -11,10 +11,12 @@ re-checks them without trusting the generator.
 
 Two encoded lemmas cover what matchings cannot: the neighbor-crossing
 argument (a realizable order is wall-connected to any other realizable
-order through σ-signed boundary polynomials (x²−1)R, so a region whose
-exit walls are all impossible contains no realizable order) and the pair
-lemma, an exact predicate (`pair_lemma_blocks`) that closes one degree-6
-boundary shape by two inequalities proved in its docstring.
+order through σ-signed boundary polynomials (x²−1)R, so any region with a
+realizable order outside it and all exit walls impossible contains no
+realizable order; `frontier_exclusion` seals the largest such set of
+Unknown orders) and the pair lemma, an exact predicate
+(`pair_lemma_blocks`) that closes one degree-6 boundary shape by two
+inequalities proved in its docstring.
 `classify_pattern` runs each stage once: per-couple constructions,
 certificates and deterministic witnesses, one exclusion round, Monte
 Carlo on the orders still Unknown, and one more exclusion round.  The
@@ -481,30 +483,41 @@ def _wall_block_reason(
 def frontier_exclusion(
     sp: SignPattern, table: dict[ModuliOrder, Verdict]
 ) -> dict[ModuliOrder, Verdict]:
-    """Try to seal the entire Unknown region: if some order outside it is
-    Realizable and every wall leading out of the region is blocked (the
-    chamber beyond is non-realizable, or the wall's tied order forces a
-    coefficient sign against sp, or the pair lemma applies), every order
-    inside is NonRealizable."""
-    region = [o for o, v in table.items() if v.status is Status.UNKNOWN]
+    """Seal the largest set of Unknown orders whose exit walls are all
+    blocked (the chamber beyond is non-realizable, or the wall's tied order
+    forces a coefficient sign against sp, or the pair lemma applies): if
+    some order is Realizable, every order inside is NonRealizable.
+
+    That set is a greatest fixed point: start from every Unknown order and
+    drop, through a worklist over the neighbours of each dropped order, any
+    order with an unblocked exit wall.  A wall into a dropped order is
+    blocked only by its tied order, since the chamber beyond is Unknown.
+    Every dropped order keeps an open exit wall, so a second call on the
+    result seals nothing more."""
+    unknown = [o for o, v in table.items() if v.status is Status.UNKNOWN]
+    anchors = [o for o, v in table.items() if v.status is Status.REALIZABLE]
+    if not unknown or not anchors:
+        return table
+    nbrs = {u: _order_neighbors(u) for u in unknown}
+
+    @functools.cache
+    def reason(u: ModuliOrder, v: ModuliOrder) -> str | None:
+        return _wall_block_reason(sp, u, v, table)
+
+    region = set(unknown)
+    work = list(unknown)
+    while work:
+        u = work.pop()
+        if u in region and any(v not in region and reason(u, v) is None for v in nbrs[u]):
+            region.discard(u)
+            work.extend(v for v in nbrs[u] if v in region)
     if not region:
         return table
-    anchors = [o for o, v in table.items() if v.status is Status.REALIZABLE]
-    if not anchors:
-        return table
-    region_set = set(region)
-    blocks = []
-    for u in region:
-        for v in _order_neighbors(u):
-            if v in region_set:
-                continue
-            reason = _wall_block_reason(sp, u, v, table)
-            if reason is None:
-                return table  # an exit wall may be crossable; no conclusion
-            blocks.append((u, v, reason))
-    evidence = FrontierEvidence(tuple(region), anchors[0], tuple(blocks))
+    sealed = tuple(o for o in unknown if o in region)
+    blocks = tuple((u, v, reason(u, v)) for u in sealed for v in nbrs[u] if v not in region)
+    evidence = FrontierEvidence(sealed, anchors[0], blocks)
     table = dict(table)
-    for u in region:
+    for u in sealed:
         table[u] = Verdict(Couple(sp, u), Status.NON_REALIZABLE, "frontier", evidence)
     return table
 
@@ -557,9 +570,12 @@ def classify_pattern(
     3. `search.witness_for` with Monte Carlo on each order still Unknown;
     4. one more round of propagation then frontier exclusion.
     A second round in a row never changes a status: `propagate` iterates
-    to its own fixed point, and `frontier_exclusion` either seals every
-    Unknown order or returns the table unchanged.  Orders no stage decides
-    stay Unknown.
+    to its own fixed point, and `frontier_exclusion` seals a greatest fixed
+    point, the largest set of Unknown orders whose exit walls are all
+    blocked, so every order it leaves Unknown keeps an open exit wall.
+    Stage 2 thus closes non-realizable orders that share the Unknown region
+    with realizable ones not yet found, and Monte Carlo never runs on them.
+    Orders no stage decides stay Unknown.
     """
     cfg = cfg or SamplerConfig()
     store = store if store is not None else {}

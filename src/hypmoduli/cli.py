@@ -181,6 +181,8 @@ def _cmd_decide(args) -> int:
         degree = patterns[0].degree
     elif args.all:
         degree = args.degree
+        if degree < 1:
+            raise ValueError("degree must be at least 1")
         patterns = [
             sp for c in range(degree + 1) for sp in enumerate_patterns(degree, c)
         ]

@@ -65,7 +65,8 @@ C2_TABLE_REALIZABLE = {
     ),
 }
 
-# literature constants: realizable/total ratios for degrees below six
+# literature constants: realizable/total ratios for degrees below six, the
+# oracle that the counts decided by the pipeline are tested against
 LITERATURE_RATIOS = {
     1: Fraction(1),
     2: Fraction(2, 3),
@@ -212,12 +213,12 @@ def builtin_table(d: int) -> ClassificationTable:
 
 @dataclass(frozen=True)
 class CountReport:
-    """Realizability counts and ratios; per-stratum data only at degree 6,
-    ratios below that are literature constants."""
+    """Realizability counts and ratios per sign-change count; the
+    three-change orbit products only at degree 6."""
 
     degree: int
-    realizable_by_changes: tuple[tuple[int, int], ...] | None
-    totals_by_changes: tuple[tuple[int, int], ...] | None
+    realizable_by_changes: tuple[tuple[int, int], ...]
+    totals_by_changes: tuple[tuple[int, int], ...]
     ratio: Fraction
     ratio_sequence: tuple[Fraction, ...]
     successive_ratios: tuple[Fraction, ...]
@@ -225,9 +226,8 @@ class CountReport:
 
     def render(self) -> str:
         lines = [f"degree {self.degree}: realizable/total ratio = {self.ratio}"]
-        if self.realizable_by_changes is not None:
-            for (c, r), (_, t) in zip(self.realizable_by_changes, self.totals_by_changes):
-                lines.append(f"  changes {c}: {r} realizable of {t}")
+        for (c, r), (_, t) in zip(self.realizable_by_changes, self.totals_by_changes):
+            lines.append(f"  changes {c}: {r} realizable of {t}")
         if self.c3_orbit_products is not None:
             s = " + ".join(f"{n}x{k}" for n, k in self.c3_orbit_products)
             total = sum(n * k for n, k in self.c3_orbit_products)
@@ -241,20 +241,48 @@ class CountReport:
         return "\n".join(lines)
 
 
+def _pipeline_counts(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """Realizable and total couples per sign-change count for a degree
+    below six, decided by `classify_pattern` at the default sampler config
+    with no stored witnesses; an Unknown verdict is an error."""
+    cfg = SamplerConfig()
+    realizable, totals = [], []
+    for changes in range(d + 1):
+        r = t = 0
+        for sp in enumerate_patterns(d, changes):
+            for verdict in classify_pattern(sp, cfg, {}).values():
+                if verdict.status is Status.UNKNOWN:
+                    raise RuntimeError(f"pipeline left {verdict.couple} undecided")
+                r += verdict.status is Status.REALIZABLE
+                t += 1
+        realizable.append((changes, r))
+        totals.append((changes, t))
+    return tuple(realizable), tuple(totals)
+
+
+def _ratio(realizable, totals) -> Fraction:
+    return Fraction(sum(r for _, r in realizable), sum(t for _, t in totals))
+
+
 def counts_and_ratio(d: int) -> CountReport:
+    """Realizability counts for degree d: below six decided by the
+    pipeline, at six read from the encoded table, which also gives the
+    three-change orbit products."""
     if not 1 <= d <= 6:
         raise ValueError(f"unsupported degree {d}")
+    lower = [_pipeline_counts(i) for i in range(1, min(d, 5) + 1)]
+    seq = tuple(_ratio(*c) for c in lower)
     if d < 6:
-        seq = tuple(LITERATURE_RATIOS[i] for i in range(1, d + 1))
+        realizable, totals = lower[-1]
         return CountReport(
-            d, None, None, LITERATURE_RATIOS[d], seq,
+            d, realizable, totals, seq[-1], seq,
             tuple(b / a for a, b in zip(seq, seq[1:])), None,
         )
 
     table = builtin_table(6)
     realizable = tuple((c, table.count(Status.REALIZABLE, c)) for c in range(7))
     totals = tuple((c, table.total(c)) for c in range(7))
-    ratio = Fraction(sum(r for _, r in realizable), sum(t for _, t in totals))
+    ratio = _ratio(realizable, totals)
 
     products = []
     for orbit in orbits(6, 3):
@@ -271,7 +299,7 @@ def counts_and_ratio(d: int) -> CountReport:
         products.append((counts.pop(), len(orbit.members)))
     products.sort(key=lambda p: (-p[0], -p[1]))
 
-    seq = tuple(LITERATURE_RATIOS[i] for i in range(1, 6)) + (ratio,)
+    seq = seq + (ratio,)
     return CountReport(
         6, realizable, totals, ratio, seq,
         tuple(b / a for a, b in zip(seq, seq[1:])), tuple(products),

@@ -38,8 +38,16 @@ from hypmoduli.patterns import (
     uvector_to_order,
 )
 from hypmoduli.poly import RootConfiguration, expand
+from hypmoduli import search
 from hypmoduli.published import published_witnesses
-from hypmoduli.search import SamplerConfig, constructive_witness, rigid_witness
+from hypmoduli.results import builtin_table
+from hypmoduli.search import (
+    Exhausted,
+    SamplerConfig,
+    constructive_witness,
+    rigid_witness,
+    witness_for,
+)
 
 SEED = 20260823
 
@@ -428,6 +436,67 @@ def test_frontier_needs_an_anchor():
     assert frontier_exclusion(sp, table) == table
 
 
+def _stage_one(sp, store):
+    # classify_pattern's first stage: constructions, certificates, and
+    # deterministic witnesses, before any exclusion round or Monte Carlo
+    table = {}
+    for order in compatible_orders(sp):
+        couple = Couple(sp, order)
+        w = constructive_witness(couple) or witness_for(couple, None, store)
+        if w is not None:
+            table[order] = Verdict(couple, Status.REALIZABLE, "witness", w)
+        else:
+            table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
+    return table
+
+
+def test_frontier_seals_the_blocked_part_of_an_open_region(store):
+    # before Monte Carlo, the Unknown region of 4,2,1 holds three realizable
+    # orders with open walls and two non-realizable ones whose exit walls
+    # are all blocked; only the latter are sealed
+    sp = SignPattern.parse("++++--+")
+    table = frontier_exclusion(sp, propagate(sp, _stage_one(sp, store)))
+    statuses = _statuses(table)
+    assert {o for o, s in statuses.items() if s is Status.UNKNOWN} == {
+        "PPNNNN", "PNNPNN", "NPPNNN"
+    }
+    sealed = table[ModuliOrder("PNNNPN")]
+    assert sealed.evidence_kind == "frontier"
+    assert table[ModuliOrder("PNNNNP")].evidence == sealed.evidence
+    assert [o.letters for o in sealed.evidence.region] == ["PNNNPN", "PNNNNP"]
+    assert table[sealed.evidence.anchor].status is Status.REALIZABLE
+    # the same walls and reasons as the seal after Monte Carlo
+    assert [(u.letters, v.letters, why) for u, v, why in sealed.evidence.blocks] == [
+        ("PNNNPN", "PNNPNN", "boundary forces q_3 negative"),
+        ("PNNNPN", "NPNNPN", "target [1,2,1] non-realizable"),
+        ("PNNNNP", "NPNNNP", "target [1,3,0] non-realizable"),
+    ]
+
+
+def test_frontier_before_monte_carlo_seals_only_non_realizable_couples(store):
+    reference = builtin_table(6)
+    partial = set()
+    for changes in range(7):
+        for sp in enumerate_patterns(6, changes):
+            table = frontier_exclusion(sp, propagate(sp, _stage_one(sp, store)))
+            sealed = {o for o, v in table.items() if v.evidence_kind == "frontier"}
+            for order in sealed:
+                assert reference.status(Couple(sp, order)) is Status.NON_REALIZABLE
+            if any(v.status is Status.UNKNOWN for v in table.values()):
+                partial |= {(str(sp), o.letters) for o in sealed}
+    # the seals that leave part of the Unknown region open
+    assert partial == {
+        ("++++--+", "PNNNPN"), ("++++--+", "PNNNNP"),
+        ("+++--++", "NPNNNP"),
+        ("++--+++", "PNNNPN"),
+        ("+--++++", "PNNNNP"), ("+--++++", "NPNNNP"),
+        ("++--+-+", "PNPPPN"), ("++--+-+", "NPPPPN"),
+        ("+-++--+", "PNPPPN"),
+        ("+-+--++", "NPPPPN"), ("+-+--++", "NPPPNP"),
+        ("+--++-+", "NPPPNP"),
+    }
+
+
 # ------------------------------------------------ full pattern classification
 
 
@@ -535,6 +604,24 @@ def test_one_exclusion_round_is_a_fixed_point():
                 assert {o: v.status for o, v in twice.items()} == statuses, sp
                 rounds_that_decide += statuses != {o: v.status for o, v in table.items()}
     assert rounds_that_decide > 0
+
+
+def test_no_search_below_degree_six_exhausts(monkeypatch):
+    exhausted = []
+    original = search.mc_search
+
+    def counted(target, cfg):
+        outcome = original(target, cfg)
+        if isinstance(outcome, Exhausted):
+            exhausted.append(target)
+        return outcome
+
+    monkeypatch.setattr(search, "mc_search", counted)
+    for d in range(1, 6):
+        for changes in range(d + 1):
+            for sp in enumerate_patterns(d, changes):
+                classify_pattern(sp, SamplerConfig(), {})
+    assert exhausted == []
 
 
 def test_classification_commutes_with_sign_flip(cfg, store):

@@ -128,8 +128,16 @@ def test_stats_degree_6(capsys):
 def test_stats_lower_degree_and_bad_degree(capsys):
     rc, out, _ = run(capsys, "stats", "--degree", "4")
     assert rc == 0
-    assert "ratio = 3/7" in out
-    assert "changes" not in out
+    assert out == (
+        "degree 4: realizable/total ratio = 3/7\n"
+        "  changes 0: 1 realizable of 1\n"
+        "  changes 1: 8 realizable of 16\n"
+        "  changes 2: 12 realizable of 36\n"
+        "  changes 3: 8 realizable of 16\n"
+        "  changes 4: 1 realizable of 1\n"
+        "  ratio sequence: 1, 2/3, 3/5, 3/7\n"
+        "  successive ratios: 2/3, 9/10, 5/7\n"
+    )
     rc, _, err = run(capsys, "stats", "--degree", "7")
     assert rc == 2
     assert err.startswith("error:")
@@ -251,6 +259,14 @@ def test_decide_all_small_degree(capsys):
         "+--\t1,2\tNP\t[1,0]\tRealizable\twitness\t-\n"
         "+--\t1,2\tPN\t[0,1]\tNonRealizable\trigid-order\trigid-orders\n"
     )
+
+
+def test_decide_all_rejects_degree_below_one(capsys):
+    for degree in ("0", "-1"):
+        rc, out, err = run(capsys, "decide", "--all", "--degree", degree)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: degree must be at least 1\n"
 
 
 def test_decide_requires_selector(capsys):

@@ -207,13 +207,19 @@ def test_counts_and_ratio_degree_six():
     assert "19/66" in report.render()
 
 
-def test_counts_below_six_use_quoted_constants():
-    report = counts_and_ratio(4)
-    assert report.ratio == Fraction(3, 7)
-    assert report.realizable_by_changes is None
-    assert report.ratio_sequence == (
-        Fraction(1), Fraction(2, 3), Fraction(3, 5), Fraction(3, 7)
+def test_counts_below_six_come_from_the_pipeline():
+    report = counts_and_ratio(5)
+    assert dict(report.realizable_by_changes) == {0: 1, 1: 13, 2: 33, 3: 33, 4: 13, 5: 1}
+    assert dict(report.totals_by_changes) == {0: 1, 1: 25, 2: 100, 3: 100, 4: 25, 5: 1}
+    assert report.ratio == Fraction(47, 126)
+    assert report.ratio_sequence == tuple(LITERATURE_RATIOS[d] for d in range(1, 6)) == (
+        Fraction(1), Fraction(2, 3), Fraction(3, 5), Fraction(3, 7), Fraction(47, 126)
     )
+    assert report.c3_orbit_products is None
+    for d in range(1, 5):
+        lower = counts_and_ratio(d)
+        assert lower.ratio == LITERATURE_RATIOS[d]
+        assert lower.ratio_sequence == report.ratio_sequence[:d]
     with pytest.raises(ValueError):
         counts_and_ratio(7)
 
