@@ -181,10 +181,9 @@ def _cmd_decide(args) -> int:
         degree = patterns[0].degree
     elif args.all:
         degree = args.degree
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
+        # max(): a degree below 0 still reaches enumerate_patterns, which rejects it
         patterns = [
-            sp for c in range(degree + 1) for sp in enumerate_patterns(degree, c)
+            sp for c in range(max(degree, 0) + 1) for sp in enumerate_patterns(degree, c)
         ]
     else:
         raise ValueError("decide needs --pattern or --all")

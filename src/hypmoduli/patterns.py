@@ -315,6 +315,8 @@ def neighbors(u: UVector) -> tuple[UVector, ...]:
 def enumerate_patterns(d: int, changes: int) -> list[SignPattern]:
     """All sign patterns of degree d with the given number of sign changes,
     in lexicographic order with + < -."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     if not 0 <= changes <= d:
         raise ValueError(f"changes must lie in 0..{d}")
     result = []
@@ -328,6 +330,8 @@ def enumerate_patterns(d: int, changes: int) -> list[SignPattern]:
 def enumerate_orders(d: int, n_positive: int) -> list[ModuliOrder]:
     """All orders of moduli of length d with the given number of letters P,
     in lexicographic order with P < N."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     if not 0 <= n_positive <= d:
         raise ValueError(f"n_positive must lie in 0..{d}")
     result = []

@@ -3,14 +3,15 @@ lifting, and symmetry transport of witnesses.
 
 The sampler is untrusted by design: it filters candidates in floating
 point for speed, but a witness is only ever emitted after full exact
-re-validation in `poly`.  All randomness flows through one per-target
+re-validation in `poly`.  The float side is one kernel, `_scan`: the draw
+and the sign test of each iteration in straight-line code generated once
+per (degree, distribution).  All randomness flows through one per-target
 seed derived from a master seed, so sweeps are reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -82,58 +83,70 @@ def derive_seed(master_seed: int, couple: Couple) -> int:
 
 
 @cache
-def _sign_filter(d: int):
-    """Straight-line float test for degree d: whether the monic polynomial
-    with roots mj * uj (sorted moduli `moduli`, root signs `units` of
-    +-1.0, both exact) has the coefficient signs `signs`.
+def _scan(d: int, dist: str):
+    """The Monte Carlo draw-and-filter loop for degree d under `dist`,
+    generated once per (degree, distribution) as straight-line code.
 
-    The expansion multiplies in one root at a time, so coefficient k after
-    root j is c[j-1][k] - c[j-1][k-1] * rj, one rounding per operation.
-    Recorded MC outcomes depend on exactly this arithmetic.  The generated
-    code fills that triangle column by column (coefficient k needs only
-    columns below k) and returns at the first coefficient that is zero or
-    has the wrong sign; leading coefficient 1 always matches the
-    normalized leading sign.  The unrolled body is several times faster
-    than the same arithmetic in nested loops, and the sampler spends most
-    of its time here; it is compiled once per degree.
+    `scan(rand, top, units, signs, start, budget)` runs iterations
+    start..budget-1.  Each draws d moduli with d `rand()` calls; on a
+    spread iteration (every one under "loguniform", the odd-indexed ones
+    under "mixed", so the alternation follows the iteration index) d more
+    calls scale them in the same order, m * 10.0 ** (top * rand()) (the
+    same value as 10 ** ..., since int 10 converts exactly).  The sorted
+    moduli are skipped as degenerate when the smallest is zero or two
+    neighbours are equal, a measure-zero event that no order of distinct
+    nonzero moduli can describe; a skipped draw still uses its iteration,
+    so the spread alternation never shifts.  Otherwise the roots mj * uj
+    (`units` of +-1.0) are multiplied in one at a time, coefficient k
+    after root j being c[j-1][k] - c[j-1][k-1] * rj with one rounding per
+    operation; the triangle is filled column by column (coefficient k
+    needs only columns below k), moving on at the first coefficient that
+    is zero or differs in sign from `signs`.  The leading coefficient 1
+    always matches the normalized leading sign.  Recorded MC outcomes
+    depend on exactly this RNG use and arithmetic.
+
+    Returns (index of the first iteration whose moduli pass, those sorted
+    moduli, degenerate draws skipped), or (budget, None, skipped).
     """
+    ms = ", ".join(f"m{j}" for j in range(1, d + 1))
+    draws = ", ".join(["rand()"] * d)
+    plain = f"ms = [{draws}]"
+    spread = [
+        f"{ms} = {draws}",
+        f"ms = [{', '.join(f'm{j} * 10.0 ** (top * rand())' for j in range(1, d + 1))}]",
+    ]
+    draw = {
+        "uniform": [plain],
+        "loguniform": spread,
+        "mixed": ["if i & 1:", *(f"    {s}" for s in spread), "else:", f"    {plain}"],
+    }[dist]
+    distinct = " or ".join(["m1 == 0.0"] + [f"m{j} == m{j + 1}" for j in range(1, d)])
     lines = [
-        "def signs_match(moduli, units, signs):",
-        f"    {''.join(f'm{j}, ' for j in range(1, d + 1))}= moduli",
+        "def scan(rand, top, units, signs, start, budget):",
         f"    {''.join(f'u{j}, ' for j in range(1, d + 1))}= units",
-        *(f"    r{j} = m{j} * u{j}" for j in range(1, d + 1)),
+        f"    _, {''.join(f'p{k}, ' for k in range(1, d + 1))}= [s > 0 for s in signs]",
+        "    skipped = 0",
+        "    for i in range(start, budget):",
+        *(f"        {s}" for s in draw),
+        "        ms.sort()",
+        f"        {ms}, = ms",
+        f"        if {distinct}:",
+        "            skipped += 1",
+        "            continue",
+        *(f"        r{j} = m{j} * u{j}" for j in range(1, d + 1)),
     ]
     below = ["1.0"] * d  # below[j]: coefficient k-1 after roots 1..j
     for k in range(1, d + 1):
-        lines.append(f"    c{k}_{k} = 0.0 - {below[k - 1]} * r{k}")
+        lines.append(f"        c{k}_{k} = 0.0 - {below[k - 1]} * r{k}")
         for j in range(k + 1, d + 1):
-            lines.append(f"    c{j}_{k} = c{j - 1}_{k} - {below[j - 1]} * r{j}")
-        lines.append(f"    if c{d}_{k} == 0.0 or (c{d}_{k} > 0) != (signs[{k}] > 0):")
-        lines.append("        return False")
+            lines.append(f"        c{j}_{k} = c{j - 1}_{k} - {below[j - 1]} * r{j}")
+        lines.append(f"        if c{d}_{k} == 0.0 or (c{d}_{k} > 0) != p{k}:")
+        lines.append("            continue")
         below = [f"c{j}_{k}" for j in range(d)]  # only j >= k are defined and read
-    lines.append("    return True")
+    lines += ["        return i, ms, skipped", "    return budget, None, skipped"]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["signs_match"]
-
-
-def _moduli_draws(rng: random.Random, d: int, cfg: SamplerConfig):
-    """One draw of d sorted moduli per iteration, without end; None in
-    place of a draw with a zero or repeated modulus, a measure-zero event
-    that no order of distinct nonzero moduli can describe.
-    """
-    # random() and top * random() are exactly uniform(0, 1) and
-    # uniform(0, top), value for value and in RNG use, which recorded
-    # MC outcomes depend on
-    rand = rng.random
-    top = math.log10(cfg.max_modulus)
-    spreads = {"uniform": (False,), "loguniform": (True,), "mixed": (False, True)}[cfg.dist]
-    for spread in itertools.cycle(spreads):
-        moduli = [rand() for _ in range(d)]
-        if spread:
-            moduli = [m * 10 ** (top * rand()) for m in moduli]
-        moduli.sort()
-        yield None if moduli[0] == 0.0 or len(set(moduli)) < d else moduli
+    return namespace["scan"]
 
 
 def _rounded_witness(w: Witness) -> Witness | None:
@@ -154,31 +167,37 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
     expansion carries the target sign pattern, or the budget runs out.
 
     Every draw respects the order by construction; rejection happens only
-    on coefficient signs.  A float-filtered hit is re-validated exactly
-    before being returned, and deterministically reproducible from
-    (cfg.seed, target).
+    on coefficient signs.  The kernel `_scan(degree, cfg.dist)` draws and
+    filters in floating point and stops at the first float hit; that hit
+    is re-validated exactly, and when the exact signs disagree (the float
+    filter lied near a sign boundary) the scan resumes at the next
+    iteration.  `Exhausted.sign_rejections` counts sign misses and float
+    lies, never a degenerate draw.  Outcomes are deterministically
+    reproducible from (cfg.seed, target).
     """
     if not is_compatible(target.sp, target.order):
         raise ValueError(f"incompatible couple {target}: sign counts do not match")
     rng = random.Random(derive_seed(cfg.seed, target))
-    d = target.sp.degree
-    signs_match = _sign_filter(d)
+    scan = _scan(target.sp.degree, cfg.dist)
+    top = math.log10(cfg.max_modulus)
     units = tuple(1.0 if letter == "P" else -1.0 for letter in target.order.letters)
     rejections = 0
-    for iteration, moduli in zip(range(cfg.budget), _moduli_draws(rng, d, cfg)):
+    start = 0
+    while True:
+        index, moduli, skipped = scan(rng.random, top, units, target.sp.signs, start, cfg.budget)
+        rejections += index - start - skipped
         if moduli is None:
-            continue
-        if not signs_match(moduli, units, target.sp.signs):
-            rejections += 1
-            continue
+            return Exhausted(target, cfg.budget, rejections)
         exact = RootConfiguration(tuple(Fraction(m * u) for m, u in zip(moduli, units)))
-        provenance = f"mc-search(seed={cfg.seed},iteration={iteration + 1})"
-        witness = make_witness(exact, provenance, seed=cfg.seed)
-        if witness.couple != target:
-            rejections += 1  # float filter lied near a sign boundary
-            continue
-        return Found(_rounded_witness(witness) or witness, iteration + 1)
-    return Exhausted(target, cfg.budget, rejections)
+        provenance = f"mc-search(seed={cfg.seed},iteration={index + 1})"
+        try:
+            witness = make_witness(exact, provenance, seed=cfg.seed)
+        except ValueError:  # an exact coefficient vanishes
+            witness = None
+        if witness is not None and witness.couple == target:
+            return Found(_rounded_witness(witness) or witness, index + 1)
+        rejections += 1  # the float filter lied near a sign boundary
+        start = index + 1
 
 
 def concatenate(parent: Witness, root_sign: str) -> Witness:

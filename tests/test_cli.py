@@ -47,6 +47,15 @@ def test_enumerate_with_orders(capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["enumerate", "orbits"])
+@pytest.mark.parametrize("degree", ["-1", "0"])
+def test_enumerate_and_orbits_reject_degree_below_one(capsys, command, degree):
+    rc, out, err = run(capsys, command, "--degree", degree, "--changes", "0")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: degree must be at least 1\n"
+
+
 def test_orbits_three_change_stratum(capsys):
     rc, out, _ = run(capsys, "orbits", "--degree", "6", "--changes", "3")
     assert rc == 0

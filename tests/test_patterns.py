@@ -229,6 +229,11 @@ def test_enumeration_counts():
         for k in range(d + 1):
             assert len(enumerate_patterns(d, k)) == binom(d, k)
             assert len(enumerate_orders(d, k)) == binom(d, k)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            enumerate_patterns(d, 0)
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            enumerate_orders(d, 0)
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():

@@ -1,3 +1,8 @@
+import hashlib
+import itertools
+import math
+import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -135,37 +140,173 @@ def test_mc_search_pinned_outcomes(dist, comp, order, budget, iterations, expect
         assert out.witness.roots.roots == tuple(Fraction(r) for r in expected)
 
 
-def _reference_signs_match(roots, signs):
-    # multiply in one root at a time, then compare every coefficient's sign
+def test_mc_search_outcomes_over_every_degree_6_couple():
+    # recorded before the draw generator and sign test became one kernel;
+    # any change to the draws' arithmetic, RNG use, skip rule or counts
+    # moves the hash
+    text, found = [], 0
+    for dist in search.MC_DISTRIBUTIONS:
+        cfg = SamplerConfig(seed=11, budget=300, dist=dist)
+        for changes in range(7):
+            for sp in enumerate_patterns(6, changes):
+                for order in compatible_orders(sp):
+                    out = mc_search(Couple(sp, order), cfg)
+                    if isinstance(out, Found):
+                        found += 1
+                        tail = f"{out.iterations}\t{out.witness.roots}"
+                    else:
+                        tail = f"-\t{out.sign_rejections}"
+                    text.append(f"{sp}\t{order.letters}\t{tail}\n")
+    assert len(text) == 3 * 924
+    assert found == 697
+    digest = hashlib.sha256("".join(text).encode()).hexdigest()
+    assert digest == "8ce997edb652fbb21519a6be4b03e7c47788068fad673bfe9532bbaea4346fa0"
+
+
+def _plain_expansion(roots):
+    # multiply in one root at a time
     coeffs = [1.0]
     for r in roots:
         coeffs = [c - p * r for c, p in zip(coeffs + [0.0], [0.0] + coeffs)]
-    return all(c != 0.0 and (c > 0) == (s > 0) for c, s in zip(coeffs, signs))
+    return coeffs
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_sign_filter_agrees_with_plain_expansion(d):
-    import random
-
+    # one kernel iteration under "uniform" draws its d moduli from the
+    # scripted rand, so the filter sees exactly the test's moduli
     rng = random.Random(d)
-    signs_match = search._sign_filter(d)
-    hits = 0
+    scan = search._scan(d, "uniform")
+    hits = zeros = 0
     for trial in range(3000):
-        moduli = sorted(rng.random() * 10 ** (3 * rng.random()) for _ in range(d))
-        if trial % 7 == 0:  # small integers make exact zero coefficients
-            moduli = sorted(float(rng.randint(1, 3)) for _ in range(d))
+        draws = [rng.random() * 10 ** (3 * rng.random()) for _ in range(d)]
+        if trial % 7 == 0:  # distinct small integers make exact zero coefficients
+            draws = [float(m) for m in rng.sample(range(1, d + 3), d)]
+        moduli = sorted(draws)
         units = tuple(rng.choice((1.0, -1.0)) for _ in range(d))
-        roots = [m * u for m, u in zip(moduli, units)]
+        coeffs = _plain_expansion([m * u for m, u in zip(moduli, units)])
         signs = (1,) + tuple(-1 if c < 0 else 1 for c in [rng.random() - 0.5 for _ in range(d)])
         if trial % 2 == 0:  # the roots' own pattern, so that hits occur
-            exact = [1.0]
-            for r in roots:
-                exact = [c - p * r for c, p in zip(exact + [0.0], [0.0] + exact)]
-            signs = tuple(-1 if c < 0 else 1 for c in exact)
-        expected = _reference_signs_match(roots, signs)
+            signs = tuple(-1 if c < 0 else 1 for c in coeffs)
+        expected = all(c != 0.0 and (c > 0) == (s > 0) for c, s in zip(coeffs, signs))
         hits += expected
-        assert signs_match(moduli, units, signs) == expected
+        zeros += 0.0 in coeffs
+        rand = iter(draws).__next__
+        index, found, skipped = scan(rand, 3.0, units, signs, 0, 1)
+        assert skipped == 0
+        assert (index, found) == ((0, moduli) if expected else (1, None))
     assert hits > 0
+    if d >= 3:  # two roots cannot cancel without sharing a modulus
+        assert zeros > 0
+
+
+def test_scan_skips_degenerate_draws_and_keeps_spread_parity():
+    # roots 0.1 < 0.2, both positive: x^2 - 0.3x + 0.02 has signs + - +
+    signs, units = (1, -1, 1), (1.0, 1.0)
+    scan = search._scan(2, "mixed")
+    rest = iter([
+        0.0, 0.5,            # iteration 0, plain: a zero modulus
+        0.3, 0.3, 0.0, 0.0,  # iteration 1, spread by 10**0: a repeated modulus
+        0.2, 0.1,            # iteration 2, plain: a hit
+    ])
+    assert scan(rest.__next__, 3.0, units, signs, 0, 10) == (2, [0.1, 0.2], 2)
+    assert next(rest, None) is None
+    # iteration 3 is spread whatever the iterations before it did
+    rest = iter([0.1, 0.2, 0.0, 1.0])
+    assert scan(rest.__next__, 3.0, units, signs, 3, 10) == (3, [0.1, 200.0], 0)
+    assert next(rest, None) is None
+    rest = iter([0.1, 0.2, 0.0, 1.0])
+    loguniform = search._scan(2, "loguniform")
+    assert loguniform(rest.__next__, 3.0, units, signs, 0, 10) == (0, [0.1, 200.0], 0)
+    assert next(rest, None) is None
+
+
+def _script_mc_draws(monkeypatch, values):
+    # every random.Random that mc_search seeds replays `values`
+    rest = iter(values)
+
+    class Scripted:
+        def __init__(self, seed):
+            self.random = rest.__next__
+
+    monkeypatch.setattr(search, "random", types.SimpleNamespace(Random=Scripted))
+    return rest
+
+
+def test_exhausted_counts_no_degenerate_draw(monkeypatch):
+    # (++-, NP) is a rigid order with another pattern: every draw misses
+    rest = _script_mc_draws(monkeypatch, [
+        0.0, 0.5,            # iteration 0, plain: skipped
+        0.3, 0.3, 0.0, 0.0,  # iteration 1, spread: skipped
+        0.2, 0.1,            # iteration 2, plain: a sign miss
+        0.2, 0.1, 0.5, 0.5,  # iteration 3, spread: a sign miss
+        0.4, 0.7,            # iteration 4, plain: a sign miss
+    ])
+    out = mc_search(couple("2,1", "NP"), SamplerConfig(budget=5))
+    assert out == Exhausted(couple("2,1", "NP"), 5, 3)
+    assert next(rest, None) is None
+
+
+def test_mc_search_resumes_after_a_float_lie(monkeypatch):
+    # in floats the roots a, b, e, -c with c just above a + b + e carry
+    # + - - + -, but the exact x^3 coefficient vanishes
+    a, b, e, c = 0.39625196905577054, 0.6505543886775631, 0.7501694963351592, 1.7969758540684928
+    rest = _script_mc_draws(monkeypatch, [
+        a, b, e, c,                        # iteration 0, plain: the float lie
+        a, b, e, 1.7, 0.0, 0.0, 0.0, 0.0,  # iteration 1, spread by 10**0: a hit
+    ])
+    target = couple("1,2,1,1", "PPPN")
+    assert search._scan(4, "mixed")(
+        iter([a, b, e, c]).__next__, 3.0, (1.0, 1.0, 1.0, -1.0), target.sp.signs, 0, 1
+    )[1] == [a, b, e, c]
+    out = mc_search(target, SamplerConfig(budget=2))
+    assert isinstance(out, Found) and out.iterations == 2
+    assert out.witness.couple == target
+    assert out.witness.provenance == "mc-search(seed=0,iteration=2)"
+    assert next(rest, None) is None
+    # iteration 1 misses instead: x^4 + 0.3 x^3 + ... has the wrong x^3 sign
+    _script_mc_draws(monkeypatch, [a, b, e, c, 0.9, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0])
+    assert mc_search(target, SamplerConfig(budget=2)) == Exhausted(target, 2, 2)
+
+
+def _reference_hits(rng, d, dist, units, signs, budget):
+    # the kernel spelled out: draws with itertools.cycle over the spreads,
+    # a set for the degeneracy test, the plain expansion for the signs
+    top = math.log10(1000.0)
+    spreads = {"uniform": (False,), "loguniform": (True,), "mixed": (False, True)}[dist]
+    hits, skipped = [], 0
+    for index, spread in zip(range(budget), itertools.cycle(spreads)):
+        moduli = [rng.random() for _ in range(d)]
+        if spread:
+            moduli = [m * 10 ** (top * rng.random()) for m in moduli]
+        moduli.sort()
+        if moduli[0] == 0.0 or len(set(moduli)) < d:
+            skipped += 1
+            continue
+        coeffs = _plain_expansion([m * u for m, u in zip(moduli, units)])
+        if all(c != 0.0 and (c > 0) == (s > 0) for c, s in zip(coeffs, signs)):
+            hits.append((index, moduli, skipped))
+            skipped = 0
+    return hits, skipped
+
+
+@pytest.mark.parametrize("dist", search.MC_DISTRIBUTIONS)
+def test_scan_resumes_where_a_full_scan_would(dist):
+    target = couple("2,1,2,2", "PNNPPN")
+    units = tuple(1.0 if letter == "P" else -1.0 for letter in target.order.letters)
+    budget = 3000
+    expected = _reference_hits(random.Random(5), 6, dist, units, target.sp.signs, budget)
+    assert len(expected[0]) > 10
+    rng, scan, top = random.Random(5), search._scan(6, dist), math.log10(1000.0)
+    start, hits = 0, []
+    while True:
+        index, moduli, skipped = scan(rng.random, top, units, target.sp.signs, start, budget)
+        if moduli is None:
+            break
+        hits.append((index, moduli, skipped))
+        start = index + 1
+    assert (hits, skipped) == expected
+    assert index == budget
 
 
 def test_mc_search_single_distributions():
