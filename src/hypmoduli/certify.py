@@ -17,9 +17,10 @@ realizable order; `frontier_exclusion` seals the largest such set of
 Unknown orders) and the pair lemma, an exact predicate
 (`pair_lemma_blocks`) that closes one degree-6 boundary shape by two
 inequalities proved in its docstring.
-`classify_pattern` runs each stage once: per-couple constructions,
-certificates and deterministic witnesses, one exclusion round, Monte
-Carlo on the orders still Unknown, and one more exclusion round.  The
+`classify_pattern` runs three stages, each once: per-couple
+constructions and certificates, one exclusion round, and the staged
+witness search (stored, transported and concatenated witnesses, then
+Monte Carlo) on the orders still Unknown.  The
 only sampling here is `sample_certificate`, a soundness oracle over exact
 integer configurations that no verdict depends on.
 """
@@ -553,31 +554,38 @@ def refute(couple: Couple) -> Verdict | None:
 
 def classify_pattern(
     sp: SignPattern,
-    cfg: SamplerConfig | None = None,
+    cfg: SamplerConfig = SamplerConfig(),
     store: dict[Couple, Witness] | None = None,
 ) -> dict[ModuliOrder, Verdict]:
     """Full verdict table for one sign pattern over all compatible orders.
 
-    Stages, each run once:
-    1. per couple, the first that applies: `search.constructive_witness`
-       (the canonical couples, which include the rigid ones), `refute`
-       (rigid-order lemma, canonical-only lemma for patterns with no sign
-       block of shape ++−−/+−−+ and mirrors, forced-sign certificates), or
-       the deterministic `search.witness_for` without a sampler config
-       (stored record, transported stored sibling, stored ancestor lifted
-       by concatenation);
+    Three stages, each run once:
+    1. per couple, `search.constructive_witness` (the canonical couples,
+       which include the rigid ones) or `refute` (rigid-order lemma,
+       canonical-only lemma for patterns with no sign block of shape
+       ++−−/+−−+ and mirrors, forced-sign certificates);
     2. one round of propagation then frontier exclusion;
-    3. `search.witness_for` with Monte Carlo on each order still Unknown;
-    4. one more round of propagation then frontier exclusion.
-    A second round in a row never changes a status: `propagate` iterates
-    to its own fixed point, and `frontier_exclusion` seals a greatest fixed
-    point, the largest set of Unknown orders whose exit walls are all
-    blocked, so every order it leaves Unknown keeps an open exit wall.
-    Stage 2 thus closes non-realizable orders that share the Unknown region
-    with realizable ones not yet found, and Monte Carlo never runs on them.
+    3. `search.witness_for` on each order still Unknown: stored record,
+       transported stored sibling, concatenation from the truncated
+       parent, then Monte Carlo.
     Orders no stage decides stay Unknown.
+
+    One round of stage 2 is enough: `propagate` iterates to its own fixed
+    point, and `frontier_exclusion` seals a greatest fixed point, so every
+    order it leaves Unknown keeps an open exit wall.  Stage 2 thus closes
+    non-realizable orders beside realizable ones not yet found, and Monte
+    Carlo never runs on them.  No round after stage 3 is needed: stage 3
+    only turns Unknown into Realizable, a wall's block reads only
+    NonRealizable statuses and table-independent wall certificates, and the
+    canonical couple anchors stage 2 already, so any region a later round
+    could seal stage 2 had sealed, and propagation finds nothing new.
+
+    Stage 1 needs no deterministic `witness_for` call: by induction over
+    the concatenation recursion, stage 3 returns the same witness whenever
+    the search without Monte Carlo would find one.  Since exclusion runs
+    before stored witnesses are looked up, the final check that no valid
+    stored witness meets a NonRealizable verdict covers exclusion too.
     """
-    cfg = cfg or SamplerConfig()
     store = store if store is not None else {}
     table: dict[ModuliOrder, Verdict] = {}
 
@@ -588,13 +596,7 @@ def classify_pattern(
             citation = None if is_rigid_order(order) else "canonical-realizable"
             table[order] = Verdict(couple, Status.REALIZABLE, "witness", w, citation=citation)
             continue
-        verdict = refute(couple)
-        if verdict is None:
-            w = witness_for(couple, None, store)
-            if w is not None:
-                w.validate()
-                verdict = Verdict(couple, Status.REALIZABLE, "witness", w)
-        table[order] = verdict or Verdict(couple, Status.UNKNOWN, "none")
+        table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
 
     table = frontier_exclusion(sp, propagate(sp, table))
     for order, verdict in table.items():
@@ -603,9 +605,8 @@ def classify_pattern(
             if w is not None:
                 w.validate()
                 table[order] = Verdict(verdict.couple, Status.REALIZABLE, "witness", w)
-    table = frontier_exclusion(sp, propagate(sp, table))
 
-    # a stored witness for a certificate-killed couple would be fatal
+    # a stored witness for a couple proved non-realizable would be fatal
     for order, verdict in table.items():
         if verdict.status is Status.NON_REALIZABLE:
             stored = store.get(Couple(sp, order))

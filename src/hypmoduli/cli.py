@@ -36,7 +36,7 @@ from .patterns import (
 )
 from .poly import WitnessError, append_witnesses, load_witnesses, _witness_line
 from .published import published_witnesses
-from .results import counts_and_ratio, verdict_rows, verify_paper
+from .results import counts_and_ratio, save_verdicts, verdict_rows, verify_paper
 from .search import MC_DISTRIBUTIONS, SamplerConfig, transport, witness_for
 from .symmetry import orbit_of, orbits
 
@@ -192,12 +192,10 @@ def _cmd_decide(args) -> int:
     for sp in patterns:
         table = classify_pattern(sp, cfg, store)
         verdicts.extend(table.values())
-    text = verdict_rows(verdicts)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_verdicts(verdicts, args.out)
     else:
-        print(text, end="")
+        print(verdict_rows(verdicts), end="")
     if args.evidence:
         for v in verdicts:
             if v.evidence_kind in ("forced-sign", "frontier", "propagation"):

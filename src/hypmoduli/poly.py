@@ -298,19 +298,19 @@ def _parse_witness_line(line: str) -> Witness:
     return Witness(couple, roots, Polynomial(coeffs), provenance, seed)
 
 
-def save_witnesses(path, witnesses: Iterable[Witness]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(STORE_HEADER + "\n")
-        for w in witnesses:
-            fh.write(_witness_line(w) + "\n")
-
-
 def append_witnesses(path, witnesses: Iterable[Witness]) -> None:
-    import os
-
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    """Append records to a store, writing the header first when the file is
+    missing or empty.  A file that does not start with the header raises
+    ValueError naming the path and is left unchanged."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            header = fh.readline()
+    except FileNotFoundError:
+        header = ""
+    if header and header.rstrip("\n") != STORE_HEADER:
+        raise ValueError(f"{path}: unrecognized witness store header: {header.rstrip()!r}")
     with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
+        if not header:
             fh.write(STORE_HEADER + "\n")
         for w in witnesses:
             fh.write(_witness_line(w) + "\n")

@@ -245,12 +245,11 @@ def _pipeline_counts(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[i
     """Realizable and total couples per sign-change count for a degree
     below six, decided by `classify_pattern` at the default sampler config
     with no stored witnesses; an Unknown verdict is an error."""
-    cfg = SamplerConfig()
     realizable, totals = [], []
     for changes in range(d + 1):
         r = t = 0
         for sp in enumerate_patterns(d, changes):
-            for verdict in classify_pattern(sp, cfg, {}).values():
+            for verdict in classify_pattern(sp).values():
                 if verdict.status is Status.UNKNOWN:
                     raise RuntimeError(f"pipeline left {verdict.couple} undecided")
                 r += verdict.status is Status.REALIZABLE

@@ -305,16 +305,16 @@ def _has_concat_parent(couple: Couple) -> bool:
 
 def witness_for(
     target: Couple,
-    cfg: SamplerConfig | None = None,
+    cfg: SamplerConfig = SamplerConfig(),
     store: dict[Couple, Witness] | None = None,
 ) -> Witness | None:
     """Staged search for a witness: stored record, `constructive_witness`,
     transport of a stored orbit sibling, recursive concatenation from the
     degree-(d-1) truncation (skipped when `certify.refute` proves that
-    parent non-realizable), and finally Monte Carlo.  Monte Carlo runs, at
-    every level of the recursion, only when a sampler config is given;
-    with cfg None the search is deterministic.  Returns None when every
-    stage comes up empty."""
+    parent non-realizable), and finally Monte Carlo under `cfg`, at every
+    level of the recursion.  The first stage that yields a witness wins, so
+    Monte Carlo runs only where no deterministic stage applies.  Returns
+    None when every stage comes up empty."""
     if not is_compatible(target.sp, target.order):
         raise ValueError(f"incompatible couple {target}")
     if store and target in store and store[target].couple == target:
@@ -344,8 +344,6 @@ def witness_for(
             if child.couple != target:
                 raise ValueError(f"concatenation realized {child.couple}, expected {target}")
             return child
-    if cfg is None:
-        return None
     outcome = mc_search(target, cfg)
     if isinstance(outcome, Found):
         return outcome.witness

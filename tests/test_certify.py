@@ -46,7 +46,6 @@ from hypmoduli.search import (
     SamplerConfig,
     constructive_witness,
     rigid_witness,
-    witness_for,
 )
 
 SEED = 20260823
@@ -436,13 +435,13 @@ def test_frontier_needs_an_anchor():
     assert frontier_exclusion(sp, table) == table
 
 
-def _stage_one(sp, store):
-    # classify_pattern's first stage: constructions, certificates, and
-    # deterministic witnesses, before any exclusion round or Monte Carlo
+def _stage_one(sp):
+    # classify_pattern's first stage: constructions and certificates,
+    # before the exclusion round and any witness search
     table = {}
     for order in compatible_orders(sp):
         couple = Couple(sp, order)
-        w = constructive_witness(couple) or witness_for(couple, None, store)
+        w = constructive_witness(couple)
         if w is not None:
             table[order] = Verdict(couple, Status.REALIZABLE, "witness", w)
         else:
@@ -450,12 +449,12 @@ def _stage_one(sp, store):
     return table
 
 
-def test_frontier_seals_the_blocked_part_of_an_open_region(store):
+def test_frontier_seals_the_blocked_part_of_an_open_region():
     # before Monte Carlo, the Unknown region of 4,2,1 holds three realizable
     # orders with open walls and two non-realizable ones whose exit walls
     # are all blocked; only the latter are sealed
     sp = SignPattern.parse("++++--+")
-    table = frontier_exclusion(sp, propagate(sp, _stage_one(sp, store)))
+    table = frontier_exclusion(sp, propagate(sp, _stage_one(sp)))
     statuses = _statuses(table)
     assert {o for o, s in statuses.items() if s is Status.UNKNOWN} == {
         "PPNNNN", "PNNPNN", "NPPNNN"
@@ -473,18 +472,20 @@ def test_frontier_seals_the_blocked_part_of_an_open_region(store):
     ]
 
 
-def test_frontier_before_monte_carlo_seals_only_non_realizable_couples(store):
+def test_frontier_before_monte_carlo_seals_only_non_realizable_couples():
     reference = builtin_table(6)
     partial = set()
     for changes in range(7):
         for sp in enumerate_patterns(6, changes):
-            table = frontier_exclusion(sp, propagate(sp, _stage_one(sp, store)))
+            table = frontier_exclusion(sp, propagate(sp, _stage_one(sp)))
             sealed = {o for o, v in table.items() if v.evidence_kind == "frontier"}
             for order in sealed:
                 assert reference.status(Couple(sp, order)) is Status.NON_REALIZABLE
             if any(v.status is Status.UNKNOWN for v in table.values()):
                 partial |= {(str(sp), o.letters) for o in sealed}
-    # the seals that leave part of the Unknown region open
+    # the seals that leave part of the Unknown region open; the last 24
+    # lie in the orbits of published-store patterns, whose realizable
+    # orders are witnessed only after exclusion
     assert partial == {
         ("++++--+", "PNNNPN"), ("++++--+", "PNNNNP"),
         ("+++--++", "NPNNNP"),
@@ -494,6 +495,20 @@ def test_frontier_before_monte_carlo_seals_only_non_realizable_couples(store):
         ("+-++--+", "PNPPPN"),
         ("+-+--++", "NPPPPN"), ("+-+--++", "NPPPNP"),
         ("+--++-+", "NPPPNP"),
+        ("+++-++-", "PPNNNP"),
+        ("+++--+-", "NPPPNN"), ("+++--+-", "PPNNNP"),
+        ("++-++--", "PNNNPP"), ("++-++--", "PNNPNP"),
+        ("++-++--", "PNPNNP"), ("++-++--", "PPNNNP"),
+        ("++--+--", "PNNNPP"), ("++--+--", "PNNPNP"),
+        ("++--+--", "PNPNNP"), ("++--+--", "PPNNNP"),
+        ("++---+-", "NPPPNN"),
+        ("+-+++--", "NNPPPN"),
+        ("+-++---", "NNPPPN"), ("+-++---", "PNNNPP"),
+        ("+--+++-", "NNPPPN"), ("+--+++-", "NPNPPN"),
+        ("+--+++-", "NPPNPN"), ("+--+++-", "NPPPNN"),
+        ("+--+---", "PNNNPP"),
+        ("+---++-", "NNPPPN"), ("+---++-", "NPNPPN"),
+        ("+---++-", "NPPNPN"), ("+---++-", "NPPPNN"),
     }
 
 
@@ -590,20 +605,30 @@ def test_one_exclusion_round_is_a_fixed_point():
     for d in range(3, 7):
         for changes in range(d + 1):
             for sp in enumerate_patterns(d, changes):
-                table = {}
-                for order in compatible_orders(sp):
-                    couple = Couple(sp, order)
-                    w = constructive_witness(couple)
-                    if w is not None:
-                        table[order] = Verdict(couple, Status.REALIZABLE, "witness", w)
-                    else:
-                        table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
+                table = _stage_one(sp)
                 once = frontier_exclusion(sp, propagate(sp, table))
                 twice = frontier_exclusion(sp, propagate(sp, once))
                 statuses = {o: v.status for o, v in once.items()}
                 assert {o: v.status for o, v in twice.items()} == statuses, sp
                 rounds_that_decide += statuses != {o: v.status for o, v in table.items()}
     assert rounds_that_decide > 0
+
+
+def test_no_exclusion_round_after_the_witness_search_changes_a_verdict(store):
+    # the witness search only turns Unknown into Realizable, so another
+    # exclusion round after it seals and propagates nothing
+    cfg = SamplerConfig(seed=0, budget=10_000)
+    sampled = 0
+    for d in range(1, 7):
+        for changes in range(d + 1):
+            for sp in enumerate_patterns(d, changes):
+                table = classify_pattern(sp, cfg, store if d == 6 else {})
+                assert frontier_exclusion(sp, propagate(sp, table)) == table, sp
+                sampled += any(
+                    v.evidence_kind == "witness" and v.evidence.provenance.startswith("mc-search")
+                    for v in table.values()
+                )
+    assert sampled > 0
 
 
 def test_no_search_below_degree_six_exhausts(monkeypatch):
@@ -664,3 +689,11 @@ def test_contradiction_on_corrupt_store(cfg, store):
     corrupt[killed] = rigid_witness(ModuliOrder("PNPNPN"))
     with pytest.raises(ContradictionError):
         classify_pattern(killed.sp, cfg, corrupt)
+
+
+def test_stored_witnesses_check_exclusion_verdicts(monkeypatch, store):
+    # exclusion runs before stored witnesses are looked up, so an unsound
+    # wall lemma that seals a stored-witness order is caught
+    monkeypatch.setattr("hypmoduli.certify.pair_lemma_blocks", lambda tied, sp: True)
+    with pytest.raises(ContradictionError, match="PPPNNN.*frontier evidence"):
+        classify_pattern(SignPattern.parse("3,1,2,1"), SamplerConfig(seed=SEED, budget=1000), store)

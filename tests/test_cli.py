@@ -5,7 +5,7 @@ import pytest
 from hypmoduli.certify import ContradictionError
 from hypmoduli.cli import SEED_ENV, _sampler_config, build_parser, main
 from hypmoduli.patterns import Couple, ModuliOrder, SignPattern
-from hypmoduli.poly import _witness_line, load_witnesses, save_witnesses
+from hypmoduli.poly import _witness_line, append_witnesses, load_witnesses
 from hypmoduli.published import published_witnesses
 from hypmoduli.search import SamplerConfig, transport
 
@@ -172,6 +172,26 @@ def test_search_returns_stored_witness(tmp_path, capsys):
     stored[0].validate()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("search", "--pattern", "2,2,2,1", "--order", "NPPNNP"),
+     ("transport", "--g", "im", "--witness", "STORE")],
+)
+def test_out_refuses_a_file_that_is_not_a_witness_store(tmp_path, capsys, argv):
+    store = tmp_path / "store.tsv"
+    append_witnesses(store, published_witnesses()[:1])
+    verdicts = tmp_path / "v.tsv"
+    rc = main(["decide", "--pattern", "2,2,2,1", "--budget", "1000", "--out", str(verdicts)])
+    assert rc == 0
+    before = verdicts.read_bytes()
+    assert before.startswith(b"hypmoduli-verdicts v1\n")
+    argv = [str(store) if a == "STORE" else a for a in argv]
+    rc, _, err = run(capsys, *argv, "--out", str(verdicts))
+    assert rc == 2
+    assert err == f"error: {verdicts}: unrecognized witness store header: 'hypmoduli-verdicts v1'\n"
+    assert verdicts.read_bytes() == before
+
+
 def test_search_budget_exhausted(capsys):
     rc, out, err = run(
         capsys, "search", "--pattern", "++--++-", "--order", "NPNPNP",
@@ -302,7 +322,7 @@ def test_transport_round_trip(tmp_path, capsys):
     src = tmp_path / "src.tsv"
     once = tmp_path / "once.tsv"
     twice = tmp_path / "twice.tsv"
-    save_witnesses(src, [witness])
+    append_witnesses(src, [witness])
 
     rc, out, _ = run(capsys, "transport", "--witness", str(src), "--g", "im", "--out", str(once))
     assert rc == 0
@@ -322,7 +342,7 @@ def test_transport_round_trip(tmp_path, capsys):
 
 def test_transport_empty_store(tmp_path, capsys):
     empty = tmp_path / "empty.tsv"
-    save_witnesses(empty, [])
+    append_witnesses(empty, [])
     rc, _, err = run(capsys, "transport", "--witness", str(empty), "--g", "ir")
     assert rc == 2
     assert "no witnesses" in err
@@ -339,7 +359,7 @@ def test_invalid_store_record_exit_2(tmp_path, capsys, argv):
         if w.couple == Couple(SignPattern.parse("+++-++-"), ModuliOrder("PPPNNN"))
     )
     bad = tmp_path / "bad.tsv"
-    save_witnesses(bad, [witness])
+    append_witnesses(bad, [witness])
     text = bad.read_text(encoding="utf-8")
     assert "\t0.39,0.4," in text
     # the stored polynomial is no longer the expansion of the roots
@@ -407,7 +427,7 @@ def test_config_file_errors(tmp_path, capsys):
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_max_modulus_exit_2(tmp_path, capsys, bad):
     empty = tmp_path / "empty.tsv"
-    save_witnesses(empty, [])
+    append_witnesses(empty, [])
     base = ("search", "--pattern", "2,1,2,2", "--order", "NPPNPN", "--store", str(empty),
             "--dist", "loguniform", "--budget", "1000")
     rc, out, err = run(capsys, *base, "--max-modulus", bad)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from hypmoduli.poly import (
     moduli_order_of,
     parse_exact,
     resolve_ties,
-    save_witnesses,
     sign_pattern_of,
     tied_pairs_of,
 )
@@ -241,7 +241,7 @@ def test_store_round_trip_and_last_write_wins(tmp_path):
     path = tmp_path / "store.tsv"
     w1 = make_witness(rc("0.2", "1", "-1.5", "3.1", "-5", "-10"), "mc")
     w2 = make_witness(rc("1", "2"), "mc")
-    save_witnesses(path, [w1, w2])
+    append_witnesses(path, [w1, w2])
     loaded = load_witnesses(path)
     assert sorted(map(str, (w.couple for w in loaded))) == sorted(map(str, (w1.couple, w2.couple)))
     for w in loaded:
@@ -270,3 +270,17 @@ def test_append_creates_header(tmp_path):
     append_witnesses(path, [make_witness(rc("1", "2"), "mc")])
     assert path.read_text().startswith("hypmoduli-witness-store v1\n")
     assert len(load_witnesses(path)) == 1
+
+
+def test_append_refuses_a_file_that_is_not_a_store(tmp_path):
+    path = tmp_path / "verdicts.tsv"
+    path.write_text("hypmoduli-verdicts v1\n+\t0\t\t[]\tRealizable\twitness\t-\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unrecognized witness store header")):
+        append_witnesses(path, [make_witness(rc("1", "2"), "mc")])
+    assert path.read_bytes() == before
+    # an existing empty file is a fresh store
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    append_witnesses(empty, [])
+    assert empty.read_text() == "hypmoduli-witness-store v1\n"

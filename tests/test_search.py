@@ -481,22 +481,6 @@ def test_concat_parent_search_keeps_undecided_parents(monkeypatch):
     assert targets[-1] == child
 
 
-def test_witness_for_without_config_never_samples(monkeypatch):
-    def refuse(target, cfg):
-        raise AssertionError(f"mc_search called on {target}")
-
-    monkeypatch.setattr(search, "mc_search", refuse)
-    store = {w.couple: w for w in published_witnesses()}
-    missing = 0
-    for changes in range(7):
-        for sp in enumerate_patterns(6, changes):
-            for order in compatible_orders(sp):
-                missing += witness_for(Couple(sp, order), None, store) is None
-    assert missing > 0
-    # an undecided concatenation parent that a config would send to MC
-    assert witness_for(couple("3,2,2", "NPNNNP"), None, store) is None
-
-
 def test_stored_mc_ancestor_lifts_without_sampling(monkeypatch):
     parent = couple("2,2,2", "NNPPN")
     found = mc_search(parent, SamplerConfig(seed=SEED, budget=100_000))
