@@ -22,7 +22,9 @@ constructions and certificates, one exclusion round, and the staged
 witness search (stored, transported and concatenated witnesses, then
 Monte Carlo) on the orders still Unknown.  The
 only sampling here is `sample_certificate`, a soundness oracle over exact
-integer configurations that no verdict depends on.
+integer configurations that no verdict depends on; it draws and expands
+the configurations once per (order, samples, seed) and shares them across
+coefficients and claimed signs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -176,7 +179,7 @@ def _level_vector(m: SignedMonomial, levels: tuple[int, ...]) -> tuple[int, ...]
 
 
 def _dominates(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(big, small))
+    return all(map(operator.ge, big, small))
 
 
 # --------------------------------------------------- forced-sign certificates
@@ -217,16 +220,15 @@ class ForcedSignCertificate:
 def _max_matching(
     minority: list[SignedMonomial],
     majority: list[SignedMonomial],
-    levels: tuple[int, ...],
+    vectors: dict[SignedMonomial, tuple[int, ...]],
 ) -> dict[SignedMonomial, SignedMonomial] | None:
     """Injective minority→majority assignment along the dominance relation
-    (augmenting-path search, deterministic); None if some minority monomial
-    cannot be covered."""
-    maj_vec = {M: _level_vector(M, levels) for M in majority}
+    of the level vectors (augmenting-path search, deterministic); None if
+    some minority monomial cannot be covered."""
     adj = {}
     for m in minority:
-        vec = _level_vector(m, levels)
-        adj[m] = [M for M in majority if _dominates(maj_vec[M], vec)]
+        vec = vectors[m]
+        adj[m] = [M for M in majority if _dominates(vectors[M], vec)]
     matched: dict[SignedMonomial, SignedMonomial] = {}  # majority -> minority
     def try_assign(m, seen):
         for M in adj[m]:
@@ -254,18 +256,19 @@ def forced_sign(order: ModuliOrder | TiedOrder, k: int) -> ForcedSignCertificate
     if not census:
         return None
     levels = _rank_levels(order)
+    vectors = {m: _level_vector(m, levels) for m in census}
     for claimed in (1, -1):
         minority = [m for m in census if m.sign == -claimed]
         majority = [m for m in census if m.sign == claimed]
         if len(minority) > len(majority):
             continue
-        assignment = _max_matching(minority, majority, levels)
+        assignment = _max_matching(minority, majority, vectors)
         if assignment is None:
             continue
         matching = tuple(sorted(assignment.items(), key=lambda p: p[0].support))
         strictness = None
         for m, M in matching:
-            if _level_vector(m, levels) != _level_vector(M, levels):
+            if vectors[m] != vectors[M]:
                 strictness = ("strict-pair", (m, M))
                 break
         if strictness is None:
@@ -328,30 +331,48 @@ def verify_certificate(cert: ForcedSignCertificate) -> bool:
     return True
 
 
+@functools.cache
+def _sampled_sign_counts(
+    order: ModuliOrder | TiedOrder, samples: int, seed: int
+) -> tuple[tuple[int, int], ...]:
+    """(positive, negative) sample counts per coefficient, leading first, of
+    `samples` random integer configurations respecting the order.  The draws
+    depend only on (levels, samples, seed) and the expansion on the order,
+    so every coefficient and claimed sign on one order shares them; each
+    entry holds d+1 pairs of ints whatever `samples` is."""
+    rng = random.Random(seed)
+    levels = _rank_levels(order)
+    n_levels = max(levels)
+    signed_levels = [(lvl - 1, 1 if ch == "P" else -1) for lvl, ch in zip(levels, order.letters)]
+    positive = [0] * (order.degree + 1)
+    negative = [0] * (order.degree + 1)
+    for _ in range(samples):
+        values = sorted(rng.sample(range(1, 10 * n_levels + 1), n_levels))
+        q = integer_product((s * values[i], 1) for i, s in signed_levels)
+        for i, c in enumerate(q):
+            if c > 0:
+                positive[i] += 1
+            elif c < 0:
+                negative[i] += 1
+    return tuple(zip(positive, negative))
+
+
 def sample_certificate(
     cert: ForcedSignCertificate, samples: int = 10_000, seed: int = 0
 ) -> int:
     """Statistical soundness oracle: draw random integer moduli respecting
     the certificate's order (L distinct integers in 1..10L for its L
     levels; tied ranks share one), expand the roots exactly over `int` with
-    `integer_product`, and count sign violations of q_k (zero expected).
-    Independent of the matching machinery."""
+    `integer_product`, and count sign violations of q_k (zero expected):
+    samples where q_k is zero or has the sign opposite to the claim.
+    Configurations are drawn and expanded once per (order, samples, seed)
+    and shared across coefficients and claimed signs.  Independent of the
+    matching machinery."""
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    rng = random.Random(seed)
-    levels = _rank_levels(cert.order)
-    n_levels = max(levels)
-    index = cert.order.degree - cert.k
-    signed_levels = [
-        (lvl - 1, 1 if ch == "P" else -1) for lvl, ch in zip(levels, cert.order.letters)
-    ]
-    violations = 0
-    for _ in range(samples):
-        values = sorted(rng.sample(range(1, 10 * n_levels + 1), n_levels))
-        q_k = integer_product((s * values[i], 1) for i, s in signed_levels)[index]
-        if q_k * cert.sign <= 0:
-            violations += 1
-    return violations
+    counts = _sampled_sign_counts(cert.order, samples, seed)
+    positive, negative = counts[cert.order.degree - cert.k]
+    return samples - (positive if cert.sign > 0 else negative)
 
 
 # --------------------------------------------------- encoded pair lemma

@@ -141,9 +141,9 @@ def _cmd_search(args) -> int:
               f"within budget {cfg.budget}", file=sys.stderr)
         return 3
     witness.validate()
-    print(_witness_line(witness))
     if args.out:
         append_witnesses(args.out, [witness])
+    print(_witness_line(witness))
     return 0
 
 
@@ -229,9 +229,10 @@ def _cmd_transport(args) -> int:
     moved = [transport(w, args.g) for w in witnesses]
     for w in moved:
         w.validate()
-        print(_witness_line(w))
     if args.out:
         append_witnesses(args.out, moved)
+    for w in moved:
+        print(_witness_line(w))
     return 0
 
 

@@ -10,6 +10,7 @@ never enters a validation path, so witness checks are bit-precise.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -300,18 +301,25 @@ def _parse_witness_line(line: str) -> Witness:
 
 def append_witnesses(path, witnesses: Iterable[Witness]) -> None:
     """Append records to a store, writing the header first when the file is
-    missing or empty.  A file that does not start with the header raises
-    ValueError naming the path and is left unchanged."""
+    missing or empty, and a newline first when its last line has none.  A
+    file that does not start with the header raises ValueError naming the
+    path and is left unchanged."""
+    header, last = "", b"\n"
     try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            header = fh.readline()
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("utf-8", errors="replace")
+            if header:
+                fh.seek(-1, os.SEEK_END)
+                last = fh.read(1)
     except FileNotFoundError:
-        header = ""
-    if header and header.rstrip("\n") != STORE_HEADER:
+        pass
+    if header and header.rstrip("\r\n") != STORE_HEADER:
         raise ValueError(f"{path}: unrecognized witness store header: {header.rstrip()!r}")
     with open(path, "a", encoding="utf-8") as fh:
         if not header:
             fh.write(STORE_HEADER + "\n")
+        elif last != b"\n":
+            fh.write("\n")
         for w in witnesses:
             fh.write(_witness_line(w) + "\n")
 

@@ -244,6 +244,34 @@ def test_sampler_counts_violations_of_unsound_claims():
     assert (len(mixed), sum(counts)) == (50, 3240)  # recorded with the Fraction sampler
 
 
+def test_sampler_tally_is_shared_across_coefficients_signs_and_calls():
+    """Interleaved claims on plain and tied orders, every coefficient, both
+    signs, two seeds and two sample counts: each count equals the
+    `Fraction` reference, whichever call drew the configurations first,
+    and a coefficient that vanishes violates both signs."""
+    orders = [
+        ModuliOrder("PNPPNN"), ModuliOrder("NNPNPP"), ModuliOrder("PPPNNN"),
+        TiedOrder("PPNNNP", (5,)), TiedOrder("NPPPNN", (1,)),
+        TiedOrder("PNPN", (1, 3)),  # (x²−a²)(x²−b²): odd coefficients vanish
+    ]
+    claims = [
+        (ForcedSignCertificate(order, k, sign, (), ("unmatched-majority", None)), samples, seed)
+        for order in orders
+        for k in range(order.degree + 1)
+        for sign in (1, -1)
+        for samples in (20, 35)
+        for seed in (SEED, 7)
+    ]
+    random.Random(SEED).shuffle(claims)
+    for cert, samples, seed in claims:
+        expected = _fraction_violations(cert, samples, seed)
+        assert sample_certificate(cert, samples=samples, seed=seed) == expected, (cert, seed)
+    cert = claims[0][0]
+    assert sample_certificate(cert, samples=0, seed=SEED) == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_certificate(cert, samples=-1, seed=SEED)
+
+
 # ------------------------------------------------------------ pair lemma
 
 

@@ -186,10 +186,24 @@ def test_out_refuses_a_file_that_is_not_a_witness_store(tmp_path, capsys, argv):
     before = verdicts.read_bytes()
     assert before.startswith(b"hypmoduli-verdicts v1\n")
     argv = [str(store) if a == "STORE" else a for a in argv]
-    rc, _, err = run(capsys, *argv, "--out", str(verdicts))
+    rc, out, err = run(capsys, *argv, "--out", str(verdicts))
     assert rc == 2
+    assert out == ""
     assert err == f"error: {verdicts}: unrecognized witness store header: 'hypmoduli-verdicts v1'\n"
     assert verdicts.read_bytes() == before
+
+
+def test_out_appends_after_a_store_without_a_trailing_newline(tmp_path, capsys):
+    store = tmp_path / "s.tsv"
+    store.write_text("hypmoduli-witness-store v1")
+    rc, out, _ = run(
+        capsys, "search", "--pattern", "2,2,2,1", "--order", "NPPNNP", "--out", str(store)
+    )
+    assert rc == 0
+    assert store.read_text() == "hypmoduli-witness-store v1\n" + out
+    rc, out, err = run(capsys, "transport", "--witness", str(store), "--g", "im")
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 1
 
 
 def test_search_budget_exhausted(capsys):
