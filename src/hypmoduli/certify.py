@@ -151,15 +151,12 @@ class SignedMonomial:
         return ("+" if self.sign > 0 else "-") + body
 
 
-def coefficient_monomials(
-    d: int, k: int, order: ModuliOrder | TiedOrder
-) -> list[SignedMonomial]:
-    """All monomials of q_k for a degree-d polynomial whose root moduli
-    respect the order.  For a tied order, monomials containing exactly one
-    rank of a tied pair cancel against their mirror (equal modulus,
-    opposite sign) and are omitted."""
-    if order.degree != d:
-        raise ValueError(f"order degree {order.degree} != {d}")
+def coefficient_monomials(k: int, order: ModuliOrder | TiedOrder) -> list[SignedMonomial]:
+    """All monomials of q_k for a polynomial of the order's degree whose
+    root moduli respect the order.  For a tied order, monomials containing
+    exactly one rank of a tied pair cancel against their mirror (equal
+    modulus, opposite sign) and are omitted."""
+    d = order.degree
     if not 0 <= k <= d:
         raise ValueError(f"coefficient index {k} out of range")
     p_ranks = {i for i, ch in enumerate(order.letters, start=1) if ch == "P"}
@@ -252,7 +249,7 @@ def forced_sign(order: ModuliOrder | TiedOrder, k: int) -> ForcedSignCertificate
     order; absence of a certificate proves nothing.  Memoized: the
     certificate depends on (order, k) alone, and the sweep asks for the
     same one from many patterns."""
-    census = coefficient_monomials(order.degree, k, order)
+    census = coefficient_monomials(k, order)
     if not census:
         return None
     levels = _rank_levels(order)
@@ -298,7 +295,7 @@ def contradicting_certificate(
 def verify_certificate(cert: ForcedSignCertificate) -> bool:
     """Standalone re-validation of a forced-sign certificate; raises
     CertificateError on any defect, returns True otherwise."""
-    census = coefficient_monomials(cert.order.degree, cert.k, cert.order)
+    census = coefficient_monomials(cert.k, cert.order)
     census_set = set(census)
     levels = _rank_levels(cert.order)
     minority = {m for m in census if m.sign == -cert.sign}

@@ -3,15 +3,13 @@
 Exit codes: 0 success, 1 contradiction detected, 2 invalid input,
 3 budget exhausted where a definite answer was requested.
 
-Sampler defaults resolve in order: built-in defaults, then a key=value
-config file (--config), then the HYPMODULI_SEED environment variable,
-then explicit flags.
+The Monte Carlo sampler takes its seed and budget from --seed and
+--budget; an omitted flag keeps the `SamplerConfig` default.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .certify import (
@@ -37,56 +35,24 @@ from .patterns import (
 from .poly import WitnessError, append_witnesses, load_witnesses, _witness_line
 from .published import published_witnesses
 from .results import counts_and_ratio, save_verdicts, verdict_rows, verify_paper
-from .search import MC_DISTRIBUTIONS, SamplerConfig, transport, witness_for
+from .search import SamplerConfig, transport, witness_for
 from .symmetry import orbit_of, orbits
 
-SEED_ENV = "HYPMODULI_SEED"
-CONFIG_KEYS = ("seed", "budget", "dist", "max_modulus")
-
-
-def _read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
-    return values
-
-
 def _sampler_config(args) -> SamplerConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        for key, text in _read_config(args.config).items():
-            values[key] = (
-                text if key == "dist" else float(text) if key == "max_modulus" else int(text)
-            )
-    if SEED_ENV in os.environ:
-        values["seed"] = int(os.environ[SEED_ENV])
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return SamplerConfig(**values)
-
-
-def _default_store(degree: int) -> dict:
-    if degree == 6:
-        return {w.couple: w for w in published_witnesses()}
-    return {}
+    flags = {key: getattr(args, key) for key in ("seed", "budget")}
+    return SamplerConfig(**{key: v for key, v in flags.items() if v is not None})
 
 
 def _load_store(path: str | None, degree: int) -> dict:
-    if path is None:
-        return _default_store(degree)
-    return {w.couple: w for w in load_witnesses(path)}
+    """The witness store at `path`, or else the published witnesses for
+    degree 6 and an empty store for any other degree."""
+    if path is not None:
+        witnesses = load_witnesses(path)
+    elif degree == 6:
+        witnesses = published_witnesses()
+    else:
+        witnesses = []
+    return {w.couple: w for w in witnesses}
 
 
 # ------------------------------------------------------------ subcommands
@@ -160,7 +126,7 @@ def _cmd_certify(args) -> int:
             continue
         verify_certificate(cert)
         if args.samples:
-            bad = sample_certificate(cert, samples=args.samples, seed=args.seed or 0)
+            bad = sample_certificate(cert, samples=args.samples, seed=args.seed)
             if bad:
                 print(f"CONTRADICTION: {bad} sampled violations of {cert}", file=sys.stderr)
                 return 1
@@ -242,10 +208,6 @@ def _cmd_transport(args) -> int:
 def _add_sampler_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=None, help="master sampler seed")
     sub.add_argument("--budget", type=int, default=None, help="Monte Carlo iteration budget")
-    sub.add_argument("--dist", choices=MC_DISTRIBUTIONS, default=None,
-                     help="modulus sampling distribution")
-    sub.add_argument("--max-modulus", dest="max_modulus", type=float, default=None)
-    sub.add_argument("--config", default=None, help="key=value sampler defaults file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True)
     p.add_argument("--coeff", type=int, default=None, help="only this coefficient index")
     p.add_argument("--samples", type=int, default=0, help="randomized soundness samples")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("decide", help="full verdict table for patterns")

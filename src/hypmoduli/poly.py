@@ -30,7 +30,10 @@ def parse_exact(text: str) -> Fraction:
     text = text.strip()
     if not _EXACT_RE.match(text):
         raise ValueError(f"not an exact decimal/fraction literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_exact(value: Fraction) -> str:

@@ -5,14 +5,13 @@ The sampler is untrusted by design: it filters candidates in floating
 point for speed, but a witness is only ever emitted after full exact
 re-validation in `poly`.  The float side is one kernel, `_scan`: the draw
 and the sign test of each iteration in straight-line code generated once
-per (degree, distribution).  All randomness flows through one per-target
-seed derived from a master seed, so sweeps are reproducible.
+per degree.  All randomness flows through one per-target seed derived
+from a master seed, so sweeps are reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from functools import cache
@@ -31,33 +30,22 @@ from .patterns import (
 from .poly import RootConfiguration, Witness, make_witness
 from .symmetry import GROUP_ELEMENTS, apply_group
 
-MC_DISTRIBUTIONS = ("mixed", "uniform", "loguniform")
+_SPREAD_DECADES = 3.0  # a spread draw scales each modulus by 10^U(0, 3)
 _MAX_HALVINGS = 64  # epsilon halvings `concatenate` tries before giving up
 
 
 @dataclass(frozen=True, slots=True)
 class SamplerConfig:
-    """Reproducible Monte Carlo parameters.
-
-    `dist` picks the modulus distribution: "uniform" draws sorted U(0,1)
-    moduli, "loguniform" additionally spreads each modulus by a factor
-    10^U(0, log10(max_modulus)), and "mixed" (default) alternates the two
-    per iteration — thin realizability regions need the spread, round
-    ones don't.
-    """
+    """Reproducible Monte Carlo parameters: the master seed and the number
+    of iterations each search may spend.  How moduli are drawn is fixed,
+    see `_scan`."""
 
     seed: int = 0
     budget: int = 100_000
-    dist: str = "mixed"
-    max_modulus: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        if self.dist not in MC_DISTRIBUTIONS:
-            raise ValueError(f"dist must be one of {MC_DISTRIBUTIONS}")
-        if not (math.isfinite(self.max_modulus) and self.max_modulus > 1):
-            raise ValueError("max_modulus must be finite and exceed 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,51 +71,47 @@ def derive_seed(master_seed: int, couple: Couple) -> int:
 
 
 @cache
-def _scan(d: int, dist: str):
-    """The Monte Carlo draw-and-filter loop for degree d under `dist`,
-    generated once per (degree, distribution) as straight-line code.
+def _scan(d: int):
+    """The Monte Carlo draw-and-filter loop for degree d, generated once
+    per degree as straight-line code.
 
-    `scan(rand, top, units, signs, start, budget)` runs iterations
-    start..budget-1.  Each draws d moduli with d `rand()` calls; on a
-    spread iteration (every one under "loguniform", the odd-indexed ones
-    under "mixed", so the alternation follows the iteration index) d more
-    calls scale them in the same order, m * 10.0 ** (top * rand()) (the
-    same value as 10 ** ..., since int 10 converts exactly).  The sorted
-    moduli are skipped as degenerate when the smallest is zero or two
-    neighbours are equal, a measure-zero event that no order of distinct
-    nonzero moduli can describe; a skipped draw still uses its iteration,
-    so the spread alternation never shifts.  Otherwise the roots mj * uj
-    (`units` of +-1.0) are multiplied in one at a time, coefficient k
-    after root j being c[j-1][k] - c[j-1][k-1] * rj with one rounding per
-    operation; the triangle is filled column by column (coefficient k
-    needs only columns below k), moving on at the first coefficient that
-    is zero or differs in sign from `signs`.  The leading coefficient 1
-    always matches the normalized leading sign.  Recorded MC outcomes
-    depend on exactly this RNG use and arithmetic.
+    `scan(rand, units, signs, start, budget)` runs iterations
+    start..budget-1.  Each draws d U(0, 1) moduli with d `rand()` calls.
+    An odd-indexed iteration then spreads them, since thin realizability
+    regions need the spread and round ones don't: d more calls scale them
+    in the same order, m * 10.0 ** (3.0 * rand()) with 3.0 the constant
+    `_SPREAD_DECADES`.  The sorted moduli are skipped as degenerate when
+    the smallest is zero or two neighbours are equal, a measure-zero event
+    that no order of distinct nonzero moduli can describe; a skipped draw
+    still uses its iteration, so the alternation never shifts.  Otherwise the roots mj * uj (`units` of +-1.0) are
+    multiplied in one at a time, coefficient k after root j being
+    c[j-1][k] - c[j-1][k-1] * rj with one rounding per operation; the
+    triangle is filled column by column (coefficient k needs only columns
+    below k), moving on at the first coefficient that is zero or differs
+    in sign from `signs`.  The leading coefficient 1 always matches the
+    normalized leading sign.  Recorded MC outcomes depend on exactly this
+    RNG use and arithmetic.
 
     Returns (index of the first iteration whose moduli pass, those sorted
     moduli, degenerate draws skipped), or (budget, None, skipped).
     """
     ms = ", ".join(f"m{j}" for j in range(1, d + 1))
     draws = ", ".join(["rand()"] * d)
-    plain = f"ms = [{draws}]"
-    spread = [
-        f"{ms} = {draws}",
-        f"ms = [{', '.join(f'm{j} * 10.0 ** (top * rand())' for j in range(1, d + 1))}]",
-    ]
-    draw = {
-        "uniform": [plain],
-        "loguniform": spread,
-        "mixed": ["if i & 1:", *(f"    {s}" for s in spread), "else:", f"    {plain}"],
-    }[dist]
+    spread = ", ".join(
+        f"m{j} * 10.0 ** ({_SPREAD_DECADES!r} * rand())" for j in range(1, d + 1)
+    )
     distinct = " or ".join(["m1 == 0.0"] + [f"m{j} == m{j + 1}" for j in range(1, d)])
     lines = [
-        "def scan(rand, top, units, signs, start, budget):",
+        "def scan(rand, units, signs, start, budget):",
         f"    {''.join(f'u{j}, ' for j in range(1, d + 1))}= units",
         f"    _, {''.join(f'p{k}, ' for k in range(1, d + 1))}= [s > 0 for s in signs]",
         "    skipped = 0",
         "    for i in range(start, budget):",
-        *(f"        {s}" for s in draw),
+        "        if i & 1:",
+        f"            {ms} = {draws}",
+        f"            ms = [{spread}]",
+        "        else:",
+        f"            ms = [{draws}]",
         "        ms.sort()",
         f"        {ms}, = ms",
         f"        if {distinct}:",
@@ -167,7 +151,7 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
     expansion carries the target sign pattern, or the budget runs out.
 
     Every draw respects the order by construction; rejection happens only
-    on coefficient signs.  The kernel `_scan(degree, cfg.dist)` draws and
+    on coefficient signs.  The kernel `_scan(degree)` draws and
     filters in floating point and stops at the first float hit; that hit
     is re-validated exactly, and when the exact signs disagree (the float
     filter lied near a sign boundary) the scan resumes at the next
@@ -178,13 +162,12 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
     if not is_compatible(target.sp, target.order):
         raise ValueError(f"incompatible couple {target}: sign counts do not match")
     rng = random.Random(derive_seed(cfg.seed, target))
-    scan = _scan(target.sp.degree, cfg.dist)
-    top = math.log10(cfg.max_modulus)
+    scan = _scan(target.sp.degree)
     units = tuple(1.0 if letter == "P" else -1.0 for letter in target.order.letters)
     rejections = 0
     start = 0
     while True:
-        index, moduli, skipped = scan(rng.random, top, units, target.sp.signs, start, cfg.budget)
+        index, moduli, skipped = scan(rng.random, units, target.sp.signs, start, cfg.budget)
         rejections += index - start - skipped
         if moduli is None:
             return Exhausted(target, cfg.budget, rejections)

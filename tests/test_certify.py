@@ -95,20 +95,20 @@ def test_wall_between_neighbours():
 
 
 def test_top_coefficient_monomials():
-    census = coefficient_monomials(6, 5, ModuliOrder("PNPNPN"))
+    census = coefficient_monomials(5, ModuliOrder("PNPNPN"))
     assert [(m.support, m.sign) for m in census] == [
         ((1,), -1), ((2,), 1), ((3,), -1), ((4,), 1), ((5,), -1), ((6,), 1)
     ]
 
 
 def test_constant_coefficient_single_monomial():
-    (m,) = coefficient_monomials(6, 0, U(1, 1, 0, 1))
+    (m,) = coefficient_monomials(0, U(1, 1, 0, 1))
     assert m.support == (1, 2, 3, 4, 5, 6)
     assert m.sign == -1  # three positive roots
 
 
 def test_census_balance_for_pair_coefficient():
-    census = coefficient_monomials(6, 4, U(1, 1, 0, 1))  # NPNPPN
+    census = coefficient_monomials(4, U(1, 1, 0, 1))  # NPNPPN
     assert len(census) == 15
     assert sum(m.sign > 0 for m in census) == 6
     assert sum(m.sign < 0 for m in census) == 9
@@ -116,7 +116,7 @@ def test_census_balance_for_pair_coefficient():
 
 def test_tied_census_drops_cancelling_monomials():
     tied = TiedOrder("PPNNNP", (5,))
-    census = coefficient_monomials(6, 4, tied)
+    census = coefficient_monomials(4, tied)
     # pairs touching exactly one of the tied ranks 5, 6 cancel: 15 - 8 = 7
     assert len(census) == 7
     assert all(len(set(m.support) & {5, 6}) != 1 for m in census)
@@ -124,9 +124,7 @@ def test_tied_census_drops_cancelling_monomials():
 
 def test_invalid_census_requests():
     with pytest.raises(ValueError):
-        coefficient_monomials(5, 2, ModuliOrder("PNPNPN"))
-    with pytest.raises(ValueError):
-        coefficient_monomials(6, 7, ModuliOrder("PNPNPN"))
+        coefficient_monomials(7, ModuliOrder("PNPNPN"))
 
 
 # ------------------------------------------------------------ forced signs

@@ -3,7 +3,7 @@
 import pytest
 
 from hypmoduli.certify import ContradictionError
-from hypmoduli.cli import SEED_ENV, _sampler_config, build_parser, main
+from hypmoduli.cli import _sampler_config, build_parser, main
 from hypmoduli.patterns import Couple, ModuliOrder, SignPattern
 from hypmoduli.poly import _witness_line, append_witnesses, load_witnesses
 from hypmoduli.published import published_witnesses
@@ -384,6 +384,23 @@ def test_invalid_store_record_exit_2(tmp_path, capsys, argv):
     assert err.startswith(f"error: {bad}:2: stored polynomial is not the expansion")
 
 
+@pytest.mark.parametrize("field", [2, 3], ids=["root", "coefficient"])
+@pytest.mark.parametrize(
+    "argv",
+    [("decide", "--pattern", "2,2", "--store"), ("transport", "--g", "im", "--witness")],
+)
+def test_zero_denominator_in_store_exit_2(tmp_path, capsys, argv, field):
+    bad = tmp_path / "bad.tsv"
+    append_witnesses(bad, published_witnesses()[:1])
+    header, record = bad.read_text(encoding="utf-8").splitlines()
+    parts = record.split("\t")
+    parts[field] = "1/0," + parts[field].partition(",")[2]
+    bad.write_text(f"{header}\n" + "\t".join(parts) + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, *argv, str(bad))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {bad}:2: zero denominator in '1/0'\n"
+
+
 # ------------------------------------------------- sampler configuration
 
 
@@ -391,68 +408,13 @@ def _parsed(*argv):
     return build_parser().parse_args(list(argv))
 
 
-def test_sampler_defaults(monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
+def test_sampler_defaults():
     cfg = _sampler_config(_parsed("search", "--pattern", "p", "--order", "o"))
-    assert cfg == SamplerConfig(seed=0, budget=100_000, dist="mixed", max_modulus=1000.0)
-
-
-def test_sampler_precedence(tmp_path, monkeypatch):
-    config = tmp_path / "sampler.cfg"
-    config.write_text(
-        "# sampler overrides\nseed = 5\nbudget=777\ndist=loguniform\nmax_modulus=50\n",
-        encoding="utf-8",
-    )
-    monkeypatch.delenv(SEED_ENV, raising=False)
-    base = ("search", "--pattern", "p", "--order", "o", "--config", str(config))
-
-    cfg = _sampler_config(_parsed(*base))
-    assert cfg == SamplerConfig(seed=5, budget=777, dist="loguniform", max_modulus=50.0)
-
-    monkeypatch.setenv(SEED_ENV, "9")
-    assert _sampler_config(_parsed(*base)).seed == 9
-
-    cfg = _sampler_config(_parsed(*base, "--seed", "11", "--budget", "123"))
-    assert cfg.seed == 11
-    assert cfg.budget == 123
-    assert cfg.dist == "loguniform"
-
-
-def test_config_file_errors(tmp_path, capsys):
-    bad_key = tmp_path / "bad_key.cfg"
-    bad_key.write_text("speed=1\n", encoding="utf-8")
-    rc, _, err = run(
-        capsys, "search", "--pattern", "++--++-", "--order", "NPPNNP",
-        "--config", str(bad_key),
-    )
-    assert rc == 2
-    assert "unknown key 'speed'" in err
-
-    bad_line = tmp_path / "bad_line.cfg"
-    bad_line.write_text("seed\n", encoding="utf-8")
-    rc, _, err = run(
-        capsys, "search", "--pattern", "++--++-", "--order", "NPPNNP",
-        "--config", str(bad_line),
-    )
-    assert rc == 2
-    assert "expected key=value" in err
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_non_finite_max_modulus_exit_2(tmp_path, capsys, bad):
-    empty = tmp_path / "empty.tsv"
-    append_witnesses(empty, [])
-    base = ("search", "--pattern", "2,1,2,2", "--order", "NPPNPN", "--store", str(empty),
-            "--dist", "loguniform", "--budget", "1000")
-    rc, out, err = run(capsys, *base, "--max-modulus", bad)
-    assert (rc, out) == (2, "")
-    assert "max_modulus must be finite" in err
-
-    config = tmp_path / "sampler.cfg"
-    config.write_text(f"max_modulus={bad}\n", encoding="utf-8")
-    rc, out, err = run(capsys, *base, "--config", str(config))
-    assert (rc, out) == (2, "")
-    assert "max_modulus must be finite" in err
+    assert cfg == SamplerConfig(seed=0, budget=100_000)
+    cfg = _sampler_config(_parsed("decide", "--all", "--seed", "11", "--budget", "123"))
+    assert cfg == SamplerConfig(seed=11, budget=123)
+    cfg = _sampler_config(_parsed("search", "--pattern", "p", "--order", "o", "--seed", "5"))
+    assert cfg == SamplerConfig(seed=5, budget=100_000)
 
 
 # ------------------------------------------------------------ failures

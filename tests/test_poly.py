@@ -40,7 +40,7 @@ def test_parse_exact_decimals_and_fractions():
     assert parse_exact("  4.52 ") == Fraction(452, 100)
 
 
-@pytest.mark.parametrize("bad", ["1e3", "2.5e-1", "", "1/0x", "0x10", "nan", "1.2.3", "--1"])
+@pytest.mark.parametrize("bad", ["1e3", "2.5e-1", "", "1/0x", "0x10", "nan", "1.2.3", "--1", "1/0", "-3/00"])
 def test_parse_exact_rejects_non_literals(bad):
     with pytest.raises(ValueError):
         parse_exact(bad)

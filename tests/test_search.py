@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import random
 import types
@@ -45,13 +44,6 @@ def test_sampler_config_validation():
     SamplerConfig(seed=1, budget=1)
     with pytest.raises(ValueError):
         SamplerConfig(budget=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(dist="gaussian")
-    with pytest.raises(ValueError):
-        SamplerConfig(max_modulus=1.0)
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="finite"):
-            SamplerConfig(max_modulus=bad)
 
 
 def test_derive_seed_stable_and_couple_dependent():
@@ -102,7 +94,8 @@ def test_mc_search_deterministic():
 
 # Outcomes recorded before the draw helpers were rewritten for speed.  Any
 # change to the draws' arithmetic or RNG use moves them, and with them every
-# stored seed-reproducible witness.
+# stored seed-reproducible witness.  The first field names the sampler they
+# were recorded under: "mixed", plain and spread draws alternating.
 PINNED_MC = [
     ("mixed", "4,3", "NNNNPN", 5000, 558, (
         "-14741861/1000000", "-152299/10000", "-4222291/250000",
@@ -111,26 +104,12 @@ PINNED_MC = [
         "176553/1000000", "-24431/50000", "-534781/1000000",
         "-558883/1000000", "-590087/1000000", "163139/250000")),
     ("mixed", "2,2,2,1", "NNNPPP", 3000, None, 3000),
-    ("uniform", "4,3", "NNNNPN", 5000, 785, (
-        "-338001/500000", "-34363/50000", "-705121/1000000",
-        "-141069/200000", "17851/25000", "-223611/250000")),
-    ("uniform", "4,2,1", "PNNPNN", 5000, 314, (
-        "3813/250000", "-88129/1000000", "-59399/500000",
-        "133853/1000000", "-436199/500000", "-978263/1000000")),
-    ("uniform", "2,2,2,1", "NNNPPP", 3000, None, 3000),
-    ("loguniform", "4,3", "PNNNNN", 5000, 480, (
-        "143039/200000", "-190993/250000", "-920863/1000000",
-        "-1234317/1000000", "-1360929/1000000", "-24338493/1000000")),
-    ("loguniform", "3,4", "NPNNNN", 5000, 1016, (
-        "-866909/500000", "49878391/1000000", "-5258563/100000",
-        "-905043/12500", "-1169529/15625", "-95714391/1000000")),
-    ("loguniform", "2,2,2,1", "NNNPPP", 3000, None, 3000),
 ]
 
 
-@pytest.mark.parametrize("dist,comp,order,budget,iterations,expected", PINNED_MC)
-def test_mc_search_pinned_outcomes(dist, comp, order, budget, iterations, expected):
-    out = mc_search(couple(comp, order), SamplerConfig(seed=SEED, budget=budget, dist=dist))
+@pytest.mark.parametrize("sampler,comp,order,budget,iterations,expected", PINNED_MC)
+def test_mc_search_pinned_outcomes(sampler, comp, order, budget, iterations, expected):
+    out = mc_search(couple(comp, order), SamplerConfig(seed=SEED, budget=budget))
     if iterations is None:
         assert isinstance(out, Exhausted)
         assert out.sign_rejections == expected
@@ -141,26 +120,25 @@ def test_mc_search_pinned_outcomes(dist, comp, order, budget, iterations, expect
 
 
 def test_mc_search_outcomes_over_every_degree_6_couple():
-    # recorded before the draw generator and sign test became one kernel;
-    # any change to the draws' arithmetic, RNG use, skip rule or counts
-    # moves the hash
+    # recorded from earlier implementations of the sampler, not from this
+    # one; any change to the draws' arithmetic, RNG use, skip rule or
+    # counts moves the hash
+    cfg = SamplerConfig(seed=11, budget=300)
     text, found = [], 0
-    for dist in search.MC_DISTRIBUTIONS:
-        cfg = SamplerConfig(seed=11, budget=300, dist=dist)
-        for changes in range(7):
-            for sp in enumerate_patterns(6, changes):
-                for order in compatible_orders(sp):
-                    out = mc_search(Couple(sp, order), cfg)
-                    if isinstance(out, Found):
-                        found += 1
-                        tail = f"{out.iterations}\t{out.witness.roots}"
-                    else:
-                        tail = f"-\t{out.sign_rejections}"
-                    text.append(f"{sp}\t{order.letters}\t{tail}\n")
-    assert len(text) == 3 * 924
-    assert found == 697
+    for changes in range(7):
+        for sp in enumerate_patterns(6, changes):
+            for order in compatible_orders(sp):
+                out = mc_search(Couple(sp, order), cfg)
+                if isinstance(out, Found):
+                    found += 1
+                    tail = f"{out.iterations}\t{out.witness.roots}"
+                else:
+                    tail = f"-\t{out.sign_rejections}"
+                text.append(f"{sp}\t{order.letters}\t{tail}\n")
+    assert len(text) == 924
+    assert found == 240
     digest = hashlib.sha256("".join(text).encode()).hexdigest()
-    assert digest == "8ce997edb652fbb21519a6be4b03e7c47788068fad673bfe9532bbaea4346fa0"
+    assert digest == "2ecf6a4197c496ccfbd2e1d0f7f6439ffb87f12f61299fcd77ac510d99d8603e"
 
 
 def _plain_expansion(roots):
@@ -173,10 +151,10 @@ def _plain_expansion(roots):
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_sign_filter_agrees_with_plain_expansion(d):
-    # one kernel iteration under "uniform" draws its d moduli from the
-    # scripted rand, so the filter sees exactly the test's moduli
+    # kernel iteration 0 is a plain draw of its d moduli from the scripted
+    # rand, so the filter sees exactly the test's moduli
     rng = random.Random(d)
-    scan = search._scan(d, "uniform")
+    scan = search._scan(d)
     hits = zeros = 0
     for trial in range(3000):
         draws = [rng.random() * 10 ** (3 * rng.random()) for _ in range(d)]
@@ -192,7 +170,7 @@ def test_sign_filter_agrees_with_plain_expansion(d):
         hits += expected
         zeros += 0.0 in coeffs
         rand = iter(draws).__next__
-        index, found, skipped = scan(rand, 3.0, units, signs, 0, 1)
+        index, found, skipped = scan(rand, units, signs, 0, 1)
         assert skipped == 0
         assert (index, found) == ((0, moduli) if expected else (1, None))
     assert hits > 0
@@ -203,21 +181,17 @@ def test_sign_filter_agrees_with_plain_expansion(d):
 def test_scan_skips_degenerate_draws_and_keeps_spread_parity():
     # roots 0.1 < 0.2, both positive: x^2 - 0.3x + 0.02 has signs + - +
     signs, units = (1, -1, 1), (1.0, 1.0)
-    scan = search._scan(2, "mixed")
+    scan = search._scan(2)
     rest = iter([
         0.0, 0.5,            # iteration 0, plain: a zero modulus
         0.3, 0.3, 0.0, 0.0,  # iteration 1, spread by 10**0: a repeated modulus
         0.2, 0.1,            # iteration 2, plain: a hit
     ])
-    assert scan(rest.__next__, 3.0, units, signs, 0, 10) == (2, [0.1, 0.2], 2)
+    assert scan(rest.__next__, units, signs, 0, 10) == (2, [0.1, 0.2], 2)
     assert next(rest, None) is None
     # iteration 3 is spread whatever the iterations before it did
     rest = iter([0.1, 0.2, 0.0, 1.0])
-    assert scan(rest.__next__, 3.0, units, signs, 3, 10) == (3, [0.1, 200.0], 0)
-    assert next(rest, None) is None
-    rest = iter([0.1, 0.2, 0.0, 1.0])
-    loguniform = search._scan(2, "loguniform")
-    assert loguniform(rest.__next__, 3.0, units, signs, 0, 10) == (0, [0.1, 200.0], 0)
+    assert scan(rest.__next__, units, signs, 3, 10) == (3, [0.1, 200.0], 0)
     assert next(rest, None) is None
 
 
@@ -256,8 +230,8 @@ def test_mc_search_resumes_after_a_float_lie(monkeypatch):
         a, b, e, 1.7, 0.0, 0.0, 0.0, 0.0,  # iteration 1, spread by 10**0: a hit
     ])
     target = couple("1,2,1,1", "PPPN")
-    assert search._scan(4, "mixed")(
-        iter([a, b, e, c]).__next__, 3.0, (1.0, 1.0, 1.0, -1.0), target.sp.signs, 0, 1
+    assert search._scan(4)(
+        iter([a, b, e, c]).__next__, (1.0, 1.0, 1.0, -1.0), target.sp.signs, 0, 1
     )[1] == [a, b, e, c]
     out = mc_search(target, SamplerConfig(budget=2))
     assert isinstance(out, Found) and out.iterations == 2
@@ -269,15 +243,14 @@ def test_mc_search_resumes_after_a_float_lie(monkeypatch):
     assert mc_search(target, SamplerConfig(budget=2)) == Exhausted(target, 2, 2)
 
 
-def _reference_hits(rng, d, dist, units, signs, budget):
-    # the kernel spelled out: draws with itertools.cycle over the spreads,
+def _reference_hits(rng, d, units, signs, budget):
+    # the kernel spelled out: plain and spread draws alternating by index,
     # a set for the degeneracy test, the plain expansion for the signs
     top = math.log10(1000.0)
-    spreads = {"uniform": (False,), "loguniform": (True,), "mixed": (False, True)}[dist]
     hits, skipped = [], 0
-    for index, spread in zip(range(budget), itertools.cycle(spreads)):
+    for index in range(budget):
         moduli = [rng.random() for _ in range(d)]
-        if spread:
+        if index % 2:
             moduli = [m * 10 ** (top * rng.random()) for m in moduli]
         moduli.sort()
         if moduli[0] == 0.0 or len(set(moduli)) < d:
@@ -290,31 +263,22 @@ def _reference_hits(rng, d, dist, units, signs, budget):
     return hits, skipped
 
 
-@pytest.mark.parametrize("dist", search.MC_DISTRIBUTIONS)
-def test_scan_resumes_where_a_full_scan_would(dist):
+def test_scan_resumes_where_a_full_scan_would():
     target = couple("2,1,2,2", "PNNPPN")
     units = tuple(1.0 if letter == "P" else -1.0 for letter in target.order.letters)
     budget = 3000
-    expected = _reference_hits(random.Random(5), 6, dist, units, target.sp.signs, budget)
+    expected = _reference_hits(random.Random(5), 6, units, target.sp.signs, budget)
     assert len(expected[0]) > 10
-    rng, scan, top = random.Random(5), search._scan(6, dist), math.log10(1000.0)
+    rng, scan = random.Random(5), search._scan(6)
     start, hits = 0, []
     while True:
-        index, moduli, skipped = scan(rng.random, top, units, target.sp.signs, start, budget)
+        index, moduli, skipped = scan(rng.random, units, target.sp.signs, start, budget)
         if moduli is None:
             break
         hits.append((index, moduli, skipped))
         start = index + 1
     assert (hits, skipped) == expected
     assert index == budget
-
-
-def test_mc_search_single_distributions():
-    for dist in ("uniform", "loguniform"):
-        out = mc_search(
-            couple("2,2,2,1", "PNPNPN"), SamplerConfig(seed=SEED, budget=500, dist=dist)
-        )
-        assert isinstance(out, Found)
 
 
 def test_concatenate_positive_root():
