@@ -585,7 +585,9 @@ def classify_pattern(
     2. one round of propagation then frontier exclusion;
     3. `search.witness_for` on each order still Unknown: stored record,
        transported stored sibling, concatenation from the truncated
-       parent, then Monte Carlo.
+       parent, then Monte Carlo on the im-pair representatives of the
+       couple's two ir-sides, each searched once per process and shared
+       by its orbit, the first witness found transported to the couple.
     Orders no stage decides stay Unknown.
 
     One round of stage 2 is enough: `propagate` iterates to its own fixed

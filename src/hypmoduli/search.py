@@ -6,7 +6,9 @@ point for speed, but a witness is only ever emitted after full exact
 re-validation in `poly`.  The float side is one kernel, `_scan`: the draw
 and the sign test of each iteration in straight-line code generated once
 per degree.  All randomness flows through one per-target seed derived
-from a master seed, so sweeps are reproducible.
+from a master seed, so sweeps are reproducible.  `witness_for` runs Monte
+Carlo on im-pair representatives only, each once per process and sampler
+config, and transports what it finds to the other orbit members.
 """
 
 from __future__ import annotations
@@ -183,6 +185,13 @@ def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
         start = index + 1
 
 
+@cache
+def _im_pair_search(representative: Couple, cfg: SamplerConfig) -> SearchOutcome:
+    """`mc_search` on an im-pair representative, run once per process for
+    each (representative, cfg); `witness_for` shares it across an orbit."""
+    return mc_search(representative, cfg)
+
+
 def concatenate(parent: Witness, root_sign: str) -> Witness:
     """Multiply a parent witness by (x - eps) or (x + eps) for a fresh root
     of strictly smallest modulus.
@@ -218,7 +227,8 @@ def concatenate(parent: Witness, root_sign: str) -> Witness:
 
 def transport(parent: Witness, g: str) -> Witness:
     """Carry a witness across the symmetry group: i_m negates every root,
-    i_r inverts every root; the image realizes g(parent couple)."""
+    i_r inverts every root; the image realizes g(parent couple) and keeps
+    the parent's sampler seed."""
     if g not in GROUP_ELEMENTS or g == "id":
         raise ValueError(f"g must be one of {[e for e in GROUP_ELEMENTS if e != 'id']}")
     roots = parent.roots.roots
@@ -226,7 +236,9 @@ def transport(parent: Witness, g: str) -> Witness:
         roots = tuple(1 / r for r in roots)
     if g.startswith("im"):
         roots = tuple(-r for r in roots)
-    image = make_witness(RootConfiguration(roots), f"symmetry-transport({g},{parent.couple})")
+    image = make_witness(
+        RootConfiguration(roots), f"symmetry-transport({g},{parent.couple})", seed=parent.seed
+    )
     expected = apply_group(g, parent.couple)
     if image.couple != expected:
         raise ValueError(f"transport produced {image.couple}, expected {expected}")
@@ -297,7 +309,14 @@ def witness_for(
     parent non-realizable), and finally Monte Carlo under `cfg`, at every
     level of the recursion.  The first stage that yields a witness wins, so
     Monte Carlo runs only where no deterministic stage applies.  Returns
-    None when every stage comes up empty."""
+    None when every stage comes up empty.
+
+    Monte Carlo searches at most two im-pair representatives, min(x, im x)
+    by text: those of the target and of ir(target), the smaller first.  The
+    first witness found is transported to the target.  Each
+    (representative, cfg) is searched once per process and shared by the
+    whole orbit, and the result is a function of (target, cfg, store)
+    alone."""
     if not is_compatible(target.sp, target.order):
         raise ValueError(f"incompatible couple {target}")
     if store and target in store and store[target].couple == target:
@@ -327,7 +346,18 @@ def witness_for(
             if child.couple != target:
                 raise ValueError(f"concatenation realized {child.couple}, expected {target}")
             return child
-    outcome = mc_search(target, cfg)
-    if isinstance(outcome, Found):
-        return outcome.witness
+    # im negates every root and float negation is exact, so a search of
+    # im(side) is a search of side under another per-couple seed: one per
+    # im-pair suffices.  The spread 10^U(0, 3) does not commute with root
+    # inversion, so ir is no symmetry of the sampler, and each ir-side of
+    # the orbit keeps its own search.  The order depends on the orbit alone,
+    # so every member asks the same search first.
+    sides = {min(x, apply_group("im", x), key=str) for x in (target, apply_group("ir", target))}
+    for searched in sorted(sides, key=str):
+        outcome = _im_pair_search(searched, cfg)
+        if isinstance(outcome, Found):
+            if searched == target:
+                return outcome.witness
+            g = next(g for g in GROUP_ELEMENTS if apply_group(g, searched) == target)
+            return transport(outcome.witness, g)
     return None

@@ -206,6 +206,22 @@ def test_out_appends_after_a_store_without_a_trailing_newline(tmp_path, capsys):
     assert len(out.splitlines()) == 1
 
 
+def test_search_keeps_the_seed_of_a_transported_mc_witness(tmp_path, capsys):
+    # (5,2, PNNNNN) is not its own im-pair representative: Monte Carlo runs
+    # on its im image, and the witness found there is carried over
+    out_path = tmp_path / "s.tsv"
+    rc, out, _ = run(
+        capsys, "search", "--pattern", "5,2", "--order", "PNNNNN",
+        "--seed", "5", "--out", str(out_path),
+    )
+    assert rc == 0
+    fields = out.strip().split("\t")
+    assert fields[-2:] == ["symmetry-transport(im,(1,1,1,1,2,1, NPPPPP))", "5"]
+    [stored] = load_witnesses(out_path)
+    assert (stored.provenance, stored.seed) == (fields[-2], 5)
+    stored.validate()
+
+
 def test_search_budget_exhausted(capsys):
     rc, out, err = run(
         capsys, "search", "--pattern", "++--++-", "--order", "NPNPNP",

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypmoduli.certify as certify
 import hypmoduli.search as search
 from hypmoduli.certify import Status, classify_pattern, refute
 from hypmoduli.patterns import (
@@ -281,6 +282,28 @@ def test_scan_resumes_where_a_full_scan_would():
     assert index == budget
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_scan_is_blind_to_negating_every_root(d):
+    # float negation is exact, so negated roots give the same coefficients
+    # with sign (-1)^k on q_k: a search of im(T) is one of T under another seed
+    rng = random.Random(100 + d)
+    hits = 0
+    for trial in range(40):
+        units = tuple(rng.choice((1.0, -1.0)) for _ in range(d))
+        moduli = sorted(rng.random() * 10 ** (3 * rng.random()) for _ in range(d))
+        coeffs = _plain_expansion([m * u for m, u in zip(moduli, units)])
+        sp = SignPattern(tuple(-1 if c < 0 else 1 for c in coeffs))
+        flipped = (tuple(-u for u in units), apply_group("im", sp).signs)
+        seed, start = rng.getrandbits(32), rng.randrange(2)
+        runs = [
+            search._scan(d)(random.Random(seed).random, u, signs, start, 200)
+            for u, signs in ((units, sp.signs), flipped)
+        ]
+        assert runs[0] == runs[1]
+        hits += runs[0][1] is not None
+    assert hits > 0
+
+
 def test_concatenate_positive_root():
     parent = witness_for(couple("2,2,2", "NNPPN"), SamplerConfig(seed=SEED, budget=100_000))
     assert parent is not None
@@ -400,8 +423,21 @@ def test_witness_for_stage_concat_parent_recursion():
 
 
 def test_witness_for_stage_mc_fallback_and_none():
-    w = witness_for(couple("2,2,2,1", "NPPNNP"), SamplerConfig(seed=SEED, budget=100_000))
-    assert w is not None and w.provenance.startswith("mc-search(")
+    target = couple("2,2,2,1", "NPPNNP")
+    cfg = SamplerConfig(seed=SEED, budget=100_000)
+    w = witness_for(target, cfg)
+    assert w is not None and w.couple == target and w.seed == SEED
+    w.validate()
+    # Monte Carlo ran on the target itself, or on an orbit member whose
+    # witness was carried over
+    if not w.provenance.startswith("mc-search("):
+        assert w.provenance.startswith("symmetry-transport(")
+        carried = []
+        for g in ("im", "ir", "imir"):
+            out = mc_search(apply_group(g, target), cfg)
+            if isinstance(out, Found):
+                carried.append(transport(out.witness, g))
+        assert w in carried
     assert witness_for(couple("2,2,2,1", "NNNPPP"), SamplerConfig(seed=SEED, budget=500)) is None
 
 
@@ -435,14 +471,20 @@ def test_concat_parent_search_skips_refuted_parents(monkeypatch):
         assert refute(couple(comp, order)) is not None
 
 
+def _im_pair(c: Couple) -> Couple:
+    return min(c, apply_group("im", c), key=str)
+
+
 def test_concat_parent_search_keeps_undecided_parents(monkeypatch):
     targets = _record_mc_targets(monkeypatch)
     parent = couple("3,2,1", "PNNNP")
     assert refute(parent) is None
     child = couple("3,2,2", "NPNNNP")
     witness_for(child, SamplerConfig(seed=0, budget=200))
-    assert targets[0] == parent
-    assert targets[-1] == child
+    # Monte Carlo runs once per im-pair, on its representative
+    assert targets[0] == _im_pair(parent)
+    assert _im_pair(child) in targets
+    assert targets[-1] in (_im_pair(child), _im_pair(apply_group("ir", child)))
 
 
 def test_stored_mc_ancestor_lifts_without_sampling(monkeypatch):
@@ -458,3 +500,43 @@ def test_stored_mc_ancestor_lifts_without_sampling(monkeypatch):
     assert targets
     assert Couple(sp, ModuliOrder("PNNPPN")) not in targets
     assert parent not in targets
+
+
+def _degree_6_sweep(cfg, store):
+    for changes in range(7):
+        for sp in enumerate_patterns(6, changes):
+            classify_pattern(sp, cfg, store)
+
+
+def test_sweep_searches_each_im_pair_once_on_its_representative(monkeypatch):
+    targets = _record_mc_targets(monkeypatch)
+    store = {w.couple: w for w in published_witnesses()}
+    _degree_6_sweep(SamplerConfig(seed=0, budget=10_000), store)
+    assert targets
+    assert len(set(targets)) == len(targets)
+    assert all(t == _im_pair(t) for t in targets)
+
+
+def test_witness_for_does_not_depend_on_earlier_searches(monkeypatch):
+    # each couple the sweep leaves to witness_for gets the same witness after
+    # the whole sweep as with no search made before it; the sweep decides
+    # every other couple without one, by construction or by refutation
+    cfg = SamplerConfig(seed=0, budget=10_000)
+    store = {w.couple: w for w in published_witnesses()}
+    asked = []
+
+    def recording(target, cfg, store):
+        asked.append(target)
+        return witness_for(target, cfg, store)
+
+    monkeypatch.setattr(certify, "witness_for", recording)
+    _degree_6_sweep(cfg, store)
+    after_sweep = [witness_for(c, cfg, store) for c in asked]
+    # only the 12 encoded-only couples stay without a witness
+    assert sum(w is None for w in after_sweep) == 12
+    for c, w in zip(asked, after_sweep):
+        search._im_pair_search.cache_clear()
+        alone = witness_for(c, cfg, store)
+        assert (alone is None) == (w is None), c
+        if w is not None:
+            assert (alone.roots, alone.provenance) == (w.roots, w.provenance), c
