@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 contradiction detected, 2 invalid input,
-3 budget exhausted where a definite answer was requested.
+3 no witness where one was requested: the budget ran out, or a
+certificate proves the couple non-realizable.
 
 The Monte Carlo sampler takes its seed and budget from --seed and
 --budget; an omitted flag keeps the `SamplerConfig` default.
@@ -16,6 +17,7 @@ from .certify import (
     ContradictionError,
     classify_pattern,
     forced_sign,
+    refute,
     sample_certificate,
     verify_certificate,
 )
@@ -28,6 +30,7 @@ from .patterns import (
     descartes_counts,
     enumerate_patterns,
     is_canonical_pattern,
+    is_compatible,
     is_rigid_order,
     order_to_uvector,
     rigid_sign_pattern,
@@ -101,10 +104,24 @@ def _cmd_search(args) -> int:
     order = ModuliOrder.parse(args.order)
     cfg = _sampler_config(args)
     store = _load_store(args.store, sp.degree)
-    witness = witness_for(Couple(sp, order), cfg, store)
+    couple = Couple(sp, order)
+    if not is_compatible(sp, order):
+        raise ValueError(f"incompatible couple {couple}")
+    # a couple that a certificate refutes has no witness; sampling it
+    # would only spend the whole budget
+    verdict = refute(couple)
+    if verdict is not None:
+        stored = store.get(couple)
+        if stored is not None and stored.is_valid():
+            raise ContradictionError(
+                f"{couple} has both a witness and {verdict.evidence_kind} evidence"
+            )
+        print(f"{couple} is non-realizable ({verdict.evidence_kind}): {verdict.summary()}",
+              file=sys.stderr)
+        return 3
+    witness = witness_for(couple, cfg, store)
     if witness is None:
-        print(f"no witness found for ({sp.composition()}, {order.letters}) "
-              f"within budget {cfg.budget}", file=sys.stderr)
+        print(f"no witness found for {couple} within budget {cfg.budget}", file=sys.stderr)
         return 3
     witness.validate()
     if args.out:

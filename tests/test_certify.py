@@ -1,17 +1,20 @@
 """Forced-sign certificates, encoded lemmas, and the decision pipeline."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from hypmoduli import certify
 from hypmoduli.certify import (
     CertificateError,
     ContradictionError,
     ForcedSignCertificate,
     FrontierEvidence,
+    SignedMonomial,
     Status,
     TiedOrder,
     Verdict,
@@ -186,6 +189,78 @@ def test_verifier_rejects_tampered_certificates():
         verify_certificate(dataclasses.replace(cert, matching=swapped))
 
 
+def _plain_and_single_tie_orders(d):
+    for letters in itertools.product("PN", repeat=d):
+        yield ModuliOrder("".join(letters))
+    yield from _single_tie_orders(d)
+
+
+def _im(order):
+    return dataclasses.replace(order, letters=order.letters.translate(str.maketrans("PN", "NP")))
+
+
+def test_forced_sign_certificates_are_pinned():
+    """str and repr of forced_sign over every plain and single-tie order of
+    degrees 1-7 and every k in 0..d, recorded before im-pair sharing."""
+    digest = hashlib.sha256()
+    found = 0
+    for d in range(1, 8):
+        for order in _plain_and_single_tie_orders(d):
+            for k in range(d + 1):
+                cert = forced_sign(order, k)
+                digest.update(f"{cert}\n{cert!r}\n".encode())
+                found += cert is not None
+    assert found == 4084
+    assert digest.hexdigest() == (
+        "b33437cd9276bc49c4b53ff01077b35e19fe5ad6328d64ff9424d20e291aa8de"
+    )
+
+
+def _negated(m):
+    return SignedMonomial(m.support, -m.sign)
+
+
+def _expected_mirror(cert, mirror):
+    """The certificate on `mirror` = im(cert.order), built here from
+    scratch: when d-k is odd every monomial sign and the claim flip."""
+    if cert is None:
+        return None
+    if (cert.order.degree - cert.k) % 2 == 0:
+        return ForcedSignCertificate(mirror, cert.k, cert.sign, cert.matching, cert.strictness)
+    kind, detail = cert.strictness
+    if kind == "strict-pair":
+        detail = (_negated(detail[0]), _negated(detail[1]))
+    else:
+        detail = _negated(detail)
+    matching = tuple((_negated(m), _negated(M)) for m, M in cert.matching)
+    return ForcedSignCertificate(mirror, cert.k, -cert.sign, matching, (kind, detail))
+
+
+def test_forced_sign_commutes_with_negating_every_root():
+    """Each im-pair of plain orders of degrees 1-8 and of single-tie orders
+    of degrees 1-7, from cold caches, visited in both orders: the two
+    members' certificates are mirrors of each other, whichever is asked
+    first, and both pass the verifier."""
+    orders = [o for d in range(1, 8) for o in _plain_and_single_tie_orders(d)]
+    orders += [ModuliOrder("".join(letters)) for letters in itertools.product("PN", repeat=8)]
+    pairs = [(o, _im(o)) for o in orders if o.letters < _im(o).letters]
+    assert len(pairs) == 255 + 321
+    for a, b in pairs:
+        ks = range(a.degree + 1)
+        seen = []
+        for first, second in ((a, b), (b, a)):
+            forced_sign.cache_clear()
+            certify._matching_certificate.cache_clear()
+            certs = {first: [forced_sign(first, k) for k in ks]}
+            certs[second] = [forced_sign(second, k) for k in ks]
+            seen.append(certs)
+        assert seen[0] == seen[1], (a, b)
+        for k in ks:
+            assert certs[b][k] == _expected_mirror(certs[a][k], b), (a, k)
+            for cert in (certs[a][k], certs[b][k]):
+                assert cert is None or verify_certificate(cert)
+
+
 def test_certificates_survive_random_sampling():
     for cert in (
         forced_sign(U(1, 1, 0, 1), 4),
@@ -243,31 +318,53 @@ def test_sampler_counts_violations_of_unsound_claims():
 
 
 def test_sampler_tally_is_shared_across_coefficients_signs_and_calls():
-    """Interleaved claims on plain and tied orders, every coefficient, both
-    signs, two seeds and two sample counts: each count equals the
-    `Fraction` reference, whichever call drew the configurations first,
+    """Interleaved claims on plain and tied orders and their im mirrors,
+    every coefficient, both signs, two seeds and two sample counts: each
+    count equals the `Fraction` reference, whichever call drew the
+    configurations first, whichever member of an im-pair is asked first,
     and a coefficient that vanishes violates both signs."""
     orders = [
         ModuliOrder("PNPPNN"), ModuliOrder("NNPNPP"), ModuliOrder("PPPNNN"),
         TiedOrder("PPNNNP", (5,)), TiedOrder("NPPPNN", (1,)),
         TiedOrder("PNPN", (1, 3)),  # (x²−a²)(x²−b²): odd coefficients vanish
     ]
-    claims = [
-        (ForcedSignCertificate(order, k, sign, (), ("unmatched-majority", None)), samples, seed)
-        for order in orders
-        for k in range(order.degree + 1)
-        for sign in (1, -1)
-        for samples in (20, 35)
-        for seed in (SEED, 7)
-    ]
+    pairs = [(order, _im(order)) for order in orders]
+    settings = [(samples, seed) for samples in (20, 35) for seed in (SEED, 7)]
+
+    def claims_on(order, samples, seed):
+        return [
+            (ForcedSignCertificate(order, k, sign, (), ("unmatched-majority", None)), samples, seed)
+            for k in range(order.degree + 1)
+            for sign in (1, -1)
+        ]
+
+    claims = [c for pair in pairs for o in pair for s in settings for c in claims_on(o, *s)]
+    expected = {claim: _fraction_violations(*claim) for claim in claims}
+
+    certify._sampled_sign_counts.cache_clear()
     random.Random(SEED).shuffle(claims)
     for cert, samples, seed in claims:
-        expected = _fraction_violations(cert, samples, seed)
-        assert sample_certificate(cert, samples=samples, seed=seed) == expected, (cert, seed)
+        got = sample_certificate(cert, samples=samples, seed=seed)
+        assert got == expected[cert, samples, seed], (cert, seed)
+    # each member of each pair asked first under half of the settings
+    certify._sampled_sign_counts.cache_clear()
+    for i, (samples, seed) in enumerate(settings):
+        for pair in pairs:
+            for order in pair[:: 1 if i % 2 else -1]:
+                for cert, _, _ in claims_on(order, samples, seed):
+                    got = sample_certificate(cert, samples=samples, seed=seed)
+                    assert got == expected[cert, samples, seed], (cert, samples, seed)
     cert = claims[0][0]
     assert sample_certificate(cert, samples=0, seed=SEED) == 0
     with pytest.raises(ValueError, match="non-negative"):
         sample_certificate(cert, samples=-1, seed=SEED)
+
+
+def test_sampler_rejects_coefficient_index_out_of_range():
+    for k in (-1, 7):
+        cert = ForcedSignCertificate(ModuliOrder("PNPPNN"), k, 1, (), ("unmatched-majority", None))
+        with pytest.raises(ValueError, match="out of range"):
+            sample_certificate(cert, samples=50, seed=SEED)
 
 
 # ------------------------------------------------------------ pair lemma

@@ -2,7 +2,8 @@
 
 import pytest
 
-from hypmoduli.certify import ContradictionError
+from hypmoduli import cli, search
+from hypmoduli.certify import ContradictionError, Status, Verdict
 from hypmoduli.cli import _sampler_config, build_parser, main
 from hypmoduli.patterns import Couple, ModuliOrder, SignPattern
 from hypmoduli.poly import _witness_line, append_witnesses, load_witnesses
@@ -223,13 +224,45 @@ def test_search_keeps_the_seed_of_a_transported_mc_witness(tmp_path, capsys):
 
 
 def test_search_budget_exhausted(capsys):
+    # non-realizable, but only the exclusion stage of `decide` proves it
     rc, out, err = run(
-        capsys, "search", "--pattern", "++--++-", "--order", "NPNPNP",
+        capsys, "search", "--pattern", "4,2,1", "--order", "PNNNPN",
         "--budget", "500", "--seed", "1",
     )
     assert rc == 3
     assert out == ""
-    assert "no witness found for (2,2,2,1, NPNPNP)" in err
+    assert "no witness found for (4,2,1, PNNNPN) within budget 500" in err
+
+
+@pytest.mark.parametrize(
+    "order, evidence",
+    [("NNPPNP", "(forced-sign): q_1 forced negative on NNPPNP: ["),
+     ("NPNPNP", "(rigid-order): +--++--")],
+    ids=["forced-sign", "rigid-order"],
+)
+def test_search_reports_a_refuted_couple_without_sampling(capsys, monkeypatch, order, evidence):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("mc_search ran on a refuted couple")
+
+    monkeypatch.setattr(search, "mc_search", no_sampling)
+    rc, out, err = run(
+        capsys, "search", "--pattern", "2,2,2,1", "--order", order, "--budget", str(10**12),
+    )
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"(2,2,2,1, {order}) is non-realizable {evidence}")
+    assert err.count("\n") == 1
+
+
+def test_search_refuses_a_stored_witness_for_a_refuted_couple(capsys, monkeypatch):
+    # only a wrong certificate could refute a couple with a valid witness;
+    # search must report the contradiction rather than pick one side
+    realizable = Couple(SignPattern.parse("2,2,2,1"), ModuliOrder("NPPNNP"))
+    monkeypatch.setattr(
+        cli, "refute", lambda c: Verdict(c, Status.NON_REALIZABLE, "forced-sign", "stub")
+    )
+    rc, out, err = run(capsys, "search", "--pattern", "2,2,2,1", "--order", "NPPNNP")
+    assert (rc, out) == (1, "")
+    assert err == f"CONTRADICTION: {realizable} has both a witness and forced-sign evidence\n"
 
 
 # ------------------------------------------------------------ certify
