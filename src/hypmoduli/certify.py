@@ -9,8 +9,8 @@ respecting the order — contradicting the sign pattern kills the couple.
 Certificates store the matching, not the search, so a standalone verifier
 re-checks them without trusting the generator.  Negating every root (im)
 maps a certificate on one order exactly onto its mirror order, so the
-matching search runs once per im-pair and every certificate, derived or
-searched, still passes the same verifier.
+matching search runs once per im-pair of orders asked in one process, and
+every certificate, derived or searched, still passes the same verifier.
 
 Two encoded lemmas cover what matchings cannot: the neighbor-crossing
 argument (a realizable order is wall-connected to any other realizable
@@ -26,8 +26,8 @@ witness search (stored, transported and concatenated witnesses, then
 Monte Carlo) on the orders still Unknown.  The
 only sampling here is `sample_certificate`, a soundness oracle over exact
 integer configurations that no verdict depends on; it draws and expands
-the configurations once per (im-pair, samples, seed) and shares them
-across coefficients, claimed signs and both members of the im-pair.
+the configurations once per (order, samples, seed) and shares them across
+coefficients and claimed signs.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .patterns import (
 )
 from .poly import Witness, integer_product
 from .search import SamplerConfig, constructive_witness, witness_for
+from .symmetry import apply_im
 
 
 class ContradictionError(RuntimeError):
@@ -125,7 +126,10 @@ class TiedOrder:
         return "".join(out)
 
 
-_SWAP_PN = str.maketrans("PN", "NP")
+@apply_im.register
+def _(order: TiedOrder) -> TiedOrder:
+    # negating every root swaps P and N; tied pairs stay tied
+    return TiedOrder(apply_im(ModuliOrder(order.letters)).letters, order.tied)
 
 
 def _rank_levels(order: ModuliOrder | TiedOrder) -> tuple[int, ...]:
@@ -257,53 +261,15 @@ def forced_sign(order: ModuliOrder | TiedOrder, k: int) -> ForcedSignCertificate
     certificate depends on (order, k) alone, and the sweep asks for the
     same one from many patterns.
 
-    The search runs once per im-pair, on the member whose letters come
-    first; the other member gets its certificate through `_mirrored`."""
-    if _is_representative(order):
-        return _matching_certificate(order, k)
-    cert = _matching_certificate(_im_mirror(order), k)
-    return None if cert is None else _mirrored(cert, order)
-
-
-def _is_representative(order: ModuliOrder | TiedOrder) -> bool:
-    """Whether the order's letters come before those of its im mirror."""
-    return order.letters < order.letters.translate(_SWAP_PN)
-
-
-def _im_mirror(order: ModuliOrder | TiedOrder) -> ModuliOrder | TiedOrder:
-    """The order of the negated roots: P and N swap, ties stay."""
-    return dataclasses.replace(order, letters=order.letters.translate(_SWAP_PN))
-
-
-def _mirrored(
-    cert: ForcedSignCertificate, order: ModuliOrder | TiedOrder
-) -> ForcedSignCertificate:
-    """The certificate on the im mirror `order` of `cert.order`.
-
-    Negating every root multiplies every monomial sign of q_k by
-    (−1)^(d−k) and keeps every support and level vector, so the census,
-    the minority and majority lists, the matching and the strictness choice
-    are the same; only one claimed sign can have a certificate (the level
-    sums of a strict matching cannot dominate both ways), so the search on
-    `order` finds this one with every sign negated when d−k is odd."""
-    if (order.degree - cert.k) % 2 == 0:
-        return dataclasses.replace(cert, order=order)
-    kind, detail = cert.strictness
-    detail = tuple(map(_negated, detail)) if kind == "strict-pair" else _negated(detail)
-    matching = tuple((_negated(m), _negated(M)) for m, M in cert.matching)
-    return ForcedSignCertificate(order, cert.k, -cert.sign, matching, (kind, detail))
-
-
-def _negated(m: SignedMonomial) -> SignedMonomial:
-    return SignedMonomial(m.support, -m.sign)
-
-
-@functools.cache
-def _matching_certificate(
-    order: ModuliOrder | TiedOrder, k: int
-) -> ForcedSignCertificate | None:
-    """The matching search behind `forced_sign`, memoized per im-pair
-    representative."""
+    The search runs on the member of each im-pair {O, im O} whose letters
+    come first; the other member gets that certificate through `_mirrored`.
+    This saves a search only when both members are asked in one process,
+    as in `decide --all`, which sweeps the strata of c and d−c positive
+    roots together."""
+    mirror = apply_im(order)
+    if mirror.letters < order.letters:
+        cert = forced_sign(mirror, k)
+        return None if cert is None else _mirrored(cert, order)
     census = coefficient_monomials(k, order)
     if not census:
         return None
@@ -332,6 +298,29 @@ def _matching_certificate(
             continue  # everything pairs off exactly; q_k may vanish
         return ForcedSignCertificate(order, k, claimed, matching, strictness)
     return None
+
+
+def _mirrored(
+    cert: ForcedSignCertificate, order: ModuliOrder | TiedOrder
+) -> ForcedSignCertificate:
+    """The certificate on the im mirror `order` of `cert.order`.
+
+    Negating every root multiplies every monomial sign of q_k by
+    (−1)^(d−k) and keeps every support and level vector, so the census,
+    the minority and majority lists, the matching and the strictness choice
+    are the same; only one claimed sign can have a certificate (the level
+    sums of a strict matching cannot dominate both ways), so the search on
+    `order` finds this one with every sign negated when d−k is odd."""
+    if (order.degree - cert.k) % 2 == 0:
+        return dataclasses.replace(cert, order=order)
+    kind, detail = cert.strictness
+    detail = tuple(map(_negated, detail)) if kind == "strict-pair" else _negated(detail)
+    matching = tuple((_negated(m), _negated(M)) for m, M in cert.matching)
+    return ForcedSignCertificate(order, cert.k, -cert.sign, matching, (kind, detail))
+
+
+def _negated(m: SignedMonomial) -> SignedMonomial:
+    return SignedMonomial(m.support, -m.sign)
 
 
 def contradicting_certificate(
@@ -391,15 +380,7 @@ def _sampled_sign_counts(
     `samples` random integer configurations respecting the order.  The draws
     depend only on (levels, samples, seed) and the expansion on the order,
     so every coefficient and claimed sign on one order shares them; each
-    entry holds d+1 pairs of ints whatever `samples` is.
-
-    The configurations are expanded once per im-pair, on the member whose
-    letters come first.  Its im mirror has the same levels, hence the same
-    draws, with every root negated, which multiplies coefficient j by
-    (−1)^j: the mirror's counts swap positive and negative at odd j."""
-    if not _is_representative(order):
-        counts = _sampled_sign_counts(_im_mirror(order), samples, seed)
-        return tuple((n, p) if j % 2 else (p, n) for j, (p, n) in enumerate(counts))
+    entry holds d+1 pairs of ints whatever `samples` is."""
     rng = random.Random(seed)
     levels = _rank_levels(order)
     n_levels = max(levels)
@@ -425,10 +406,10 @@ def sample_certificate(
     levels; tied ranks share one), expand the roots exactly over `int` with
     `integer_product`, and count sign violations of q_k (zero expected):
     samples where q_k is zero or has the sign opposite to the claim.
-    Configurations are drawn and expanded once per (im-pair, samples, seed)
-    and shared across coefficients, claimed signs and the two members of
-    the pair.  Independent of the matching machinery.  Raises ValueError
-    for negative `samples` or k outside 0..d."""
+    Configurations are drawn and expanded once per (order, samples, seed)
+    and shared across coefficients and claimed signs.  Independent of the
+    matching machinery.  Raises ValueError for negative `samples` or k
+    outside 0..d."""
     if samples < 0:
         raise ValueError("samples must be non-negative")
     d = cert.order.degree

