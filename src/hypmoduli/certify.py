@@ -20,10 +20,10 @@ realizable order; `frontier_exclusion` seals the largest such set of
 Unknown orders) and the pair lemma, an exact predicate
 (`pair_lemma_blocks`) that closes one degree-6 boundary shape by two
 inequalities proved in its docstring.
-`classify_pattern` runs three stages, each once: per-couple
-constructions and certificates, one exclusion round, and the staged
-witness search (stored, transported and concatenated witnesses, then
-Monte Carlo) on the orders still Unknown.  The
+`settle` gives the verdicts known before any witness search: per-couple
+constructions and certificates, then one exclusion round; `classify_pattern`
+adds the staged witness search (stored, transported and concatenated
+witnesses, then Monte Carlo) on the orders still Unknown.  The
 only sampling here is `sample_certificate`, a soundness oracle over exact
 integer configurations that no verdict depends on; it draws and expands
 the configurations once per (order, samples, seed) and shares them across
@@ -55,7 +55,7 @@ from .patterns import (
 )
 from .poly import Witness, integer_product
 from .search import SamplerConfig, constructive_witness, witness_for
-from .symmetry import apply_im
+from .symmetry import apply_im, im_representative
 
 
 class ContradictionError(RuntimeError):
@@ -261,14 +261,14 @@ def forced_sign(order: ModuliOrder | TiedOrder, k: int) -> ForcedSignCertificate
     certificate depends on (order, k) alone, and the sweep asks for the
     same one from many patterns.
 
-    The search runs on the member of each im-pair {O, im O} whose letters
-    come first; the other member gets that certificate through `_mirrored`.
-    This saves a search only when both members are asked in one process,
-    as in `decide --all`, which sweeps the strata of c and d−c positive
-    roots together."""
-    mirror = apply_im(order)
-    if mirror.letters < order.letters:
-        cert = forced_sign(mirror, k)
+    The search runs on `symmetry.im_representative(O)`, one member of each
+    im-pair {O, im O}; the other member gets that certificate through
+    `_mirrored`.  This saves a search only when both members are asked in
+    one process, as in `decide --all`, which sweeps the strata of c and d−c
+    positive roots together."""
+    representative = im_representative(order)
+    if representative != order:
+        cert = forced_sign(representative, k)
         return None if cert is None else _mirrored(cert, order)
     census = coefficient_monomials(k, order)
     if not census:
@@ -617,6 +617,33 @@ def refute(couple: Couple) -> Verdict | None:
     return Verdict(couple, Status.NON_REALIZABLE, "forced-sign", cert)
 
 
+def settle(
+    sp: SignPattern, store: dict[Couple, Witness] | None = None
+) -> dict[ModuliOrder, Verdict]:
+    """Verdict table for one sign pattern before any witness search:
+    stages 1-2 of `classify_pattern`.  Orders neither stage decides stay
+    Unknown.  Raises ContradictionError when a valid stored witness meets a
+    NonRealizable verdict; the check is complete here, because the witness
+    search that may follow only turns Unknown into Realizable."""
+    table: dict[ModuliOrder, Verdict] = {}
+    for order in compatible_orders(sp):
+        couple = Couple(sp, order)
+        w = constructive_witness(couple)
+        if w is not None:
+            citation = None if is_rigid_order(order) else "canonical-realizable"
+            table[order] = Verdict(couple, Status.REALIZABLE, "witness", w, citation=citation)
+            continue
+        table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
+    table = frontier_exclusion(sp, propagate(sp, table))
+    for verdict in table.values():
+        stored = store.get(verdict.couple) if store else None
+        if verdict.status is Status.NON_REALIZABLE and stored is not None and stored.is_valid():
+            raise ContradictionError(
+                f"{verdict.couple} has both a witness and {verdict.evidence_kind} evidence"
+            )
+    return table
+
+
 def classify_pattern(
     sp: SignPattern,
     cfg: SamplerConfig = SamplerConfig(),
@@ -624,7 +651,8 @@ def classify_pattern(
 ) -> dict[ModuliOrder, Verdict]:
     """Full verdict table for one sign pattern over all compatible orders.
 
-    Three stages, each run once:
+    Three stages, each run once; `settle` runs the first two, and with them
+    the stored-witness contradiction check, before any Monte Carlo:
     1. per couple, `search.constructive_witness` (the canonical couples,
        which include the rigid ones) or `refute` (rigid-order lemma,
        canonical-only lemma for patterns with no sign block of shape
@@ -639,46 +667,20 @@ def classify_pattern(
 
     One round of stage 2 is enough: `propagate` iterates to its own fixed
     point, and `frontier_exclusion` seals a greatest fixed point, so every
-    order it leaves Unknown keeps an open exit wall.  Stage 2 thus closes
-    non-realizable orders beside realizable ones not yet found, and Monte
-    Carlo never runs on them.  No round after stage 3 is needed: stage 3
-    only turns Unknown into Realizable, a wall's block reads only
-    NonRealizable statuses and table-independent wall certificates, and the
-    canonical couple anchors stage 2 already, so any region a later round
-    could seal stage 2 had sealed, and propagation finds nothing new.
-
-    Stage 1 needs no deterministic `witness_for` call: by induction over
-    the concatenation recursion, stage 3 returns the same witness whenever
-    the search without Monte Carlo would find one.  Since exclusion runs
-    before stored witnesses are looked up, the final check that no valid
-    stored witness meets a NonRealizable verdict covers exclusion too.
+    order it leaves Unknown keeps an open exit wall; Monte Carlo never runs
+    on the non-realizable orders it closes beside realizable ones not yet
+    found.  No round after stage 3 is needed: stage 3 only turns Unknown
+    into Realizable, a wall's block reads only NonRealizable statuses and
+    table-independent wall certificates, and the canonical couple anchors
+    stage 2 already.  Stage 1 needs no deterministic `witness_for` call: by
+    induction over the concatenation recursion, stage 3 returns the same
+    witness whenever the search without Monte Carlo would find one.
     """
-    store = store if store is not None else {}
-    table: dict[ModuliOrder, Verdict] = {}
-
-    for order in compatible_orders(sp):
-        couple = Couple(sp, order)
-        w = constructive_witness(couple)
-        if w is not None:
-            citation = None if is_rigid_order(order) else "canonical-realizable"
-            table[order] = Verdict(couple, Status.REALIZABLE, "witness", w, citation=citation)
-            continue
-        table[order] = refute(couple) or Verdict(couple, Status.UNKNOWN, "none")
-
-    table = frontier_exclusion(sp, propagate(sp, table))
+    table = settle(sp, store)
     for order, verdict in table.items():
         if verdict.status is Status.UNKNOWN:
             w = witness_for(verdict.couple, cfg, store)
             if w is not None:
                 w.validate()
                 table[order] = Verdict(verdict.couple, Status.REALIZABLE, "witness", w)
-
-    # a stored witness for a couple proved non-realizable would be fatal
-    for order, verdict in table.items():
-        if verdict.status is Status.NON_REALIZABLE:
-            stored = store.get(Couple(sp, order))
-            if stored is not None and stored.is_valid():
-                raise ContradictionError(
-                    f"{Couple(sp, order)} has both a witness and {verdict.evidence_kind} evidence"
-                )
     return table

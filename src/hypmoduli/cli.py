@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 contradiction detected, 2 invalid input,
-3 no witness where one was requested: the budget ran out, or a
-certificate proves the couple non-realizable.
+3 no witness where one was requested: the budget ran out, or before any
+sampling `certify.settle` (stages 1-2 of `decide`) proves none exists.
 
 The Monte Carlo sampler takes its seed and budget from --seed and
 --budget; an omitted flag keeps the `SamplerConfig` default.
@@ -15,10 +15,11 @@ import sys
 
 from .certify import (
     ContradictionError,
+    Status,
     classify_pattern,
     forced_sign,
-    refute,
     sample_certificate,
+    settle,
     verify_certificate,
 )
 from .patterns import (
@@ -107,15 +108,9 @@ def _cmd_search(args) -> int:
     couple = Couple(sp, order)
     if not is_compatible(sp, order):
         raise ValueError(f"incompatible couple {couple}")
-    # a couple that a certificate refutes has no witness; sampling it
-    # would only spend the whole budget
-    verdict = refute(couple)
-    if verdict is not None:
-        stored = store.get(couple)
-        if stored is not None and stored.is_valid():
-            raise ContradictionError(
-                f"{couple} has both a witness and {verdict.evidence_kind} evidence"
-            )
+    # sampling a couple that stages 1-2 prove dead would spend the whole budget
+    verdict = settle(sp, store)[order]
+    if verdict.status is Status.NON_REALIZABLE:
         print(f"{couple} is non-realizable ({verdict.evidence_kind}): {verdict.summary()}",
               file=sys.stderr)
         return 3
@@ -159,11 +154,15 @@ def _cmd_certify(args) -> int:
 
 def _cmd_decide(args) -> int:
     cfg = _sampler_config(args)
+    if args.pattern and args.all:
+        raise ValueError("decide takes --pattern or --all, not both")
     if args.pattern:
         patterns = [SignPattern.parse(args.pattern)]
         degree = patterns[0].degree
+        if args.degree not in (None, degree):
+            raise ValueError(f"--degree {args.degree} differs from the pattern's degree {degree}")
     elif args.all:
-        degree = args.degree
+        degree = 6 if args.degree is None else args.degree
         # max(): a degree below 0 still reaches enumerate_patterns, which rejects it
         patterns = [
             sp for c in range(max(degree, 0) + 1) for sp in enumerate_patterns(degree, c)
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("decide", help="full verdict table for patterns")
-    p.add_argument("--degree", type=int, default=6)
+    p.add_argument("--degree", type=int, default=None, help="degree for --all (default 6)")
     p.add_argument("--pattern", default=None)
     p.add_argument("--all", action="store_true", help="every pattern of the degree")
     p.add_argument("--store", default=None, help="witness store file")

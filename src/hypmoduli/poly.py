@@ -40,27 +40,16 @@ def format_exact(value: Fraction) -> str:
     """Shortest faithful text form: integer, finite decimal, or p/q."""
     if value.denominator == 1:
         return str(value.numerator)
-    # finite decimal expansions (denominator 2^a * 5^b) print as decimals
-    den = value.denominator
-    for p in (2, 5):
+    # a finite decimal expansion (denominator 2^a * 5^b) needs max(a, b) digits
+    den, counts = value.denominator, {2: 0, 5: 0}
+    for p in counts:
         while den % p == 0:
             den //= p
+            counts[p] += 1
     if den == 1:
-        scale = 0
-        den = value.denominator
-        while den % 2 == 0:
-            den //= 2
-            scale += 1
-        fives = 0
-        den = value.denominator
-        while den % 5 == 0:
-            den //= 5
-            fives += 1
-        digits = max(scale, fives)
-        scaled = value * 10**digits
-        sign = "-" if scaled < 0 else ""
-        text = str(abs(scaled.numerator)).rjust(digits + 1, "0")
-        return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else str(scaled.numerator)
+        digits = max(counts.values())
+        text = str((abs(value) * 10**digits).numerator).rjust(digits + 1, "0")
+        return f"{'-' if value < 0 else ''}{text[:-digits]}.{text[-digits:]}"
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -234,8 +223,8 @@ class Witness:
     """An exact realizability proof: roots whose expansion carries the
     claimed sign pattern while the moduli carry the claimed order.
 
-    `seed` records the sampler seed for randomly found witnesses; witnesses
-    obtained deterministically leave it unset.
+    `seed` records the sampler seed of a Monte Carlo witness and of its
+    symmetry transports; every other witness leaves it unset.
     """
 
     couple: Couple

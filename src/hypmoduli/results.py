@@ -450,7 +450,7 @@ class CrossValidationReport:
     couples_checked: int
     agreements: int
     lemma_dependent: tuple[Couple, ...]  # encoded verdict, pipeline Unknown
-    mc_witnesses: int
+    mc_witnesses: int  # witnesses with a sampler seed, found or transported
     contradictions: tuple[tuple[Couple, Status, Status], ...]
 
     def render(self) -> str:
@@ -493,9 +493,7 @@ def cross_validate(
                 lemma_dependent.append(couple)
             elif verdict.status is expected:
                 agreements += 1
-                if verdict.evidence_kind == "witness" and verdict.evidence.provenance.startswith(
-                    "mc-search"
-                ):
+                if verdict.evidence_kind == "witness" and verdict.evidence.seed is not None:
                     mc_found += 1
             else:
                 contradictions.append((couple, verdict.status, expected))

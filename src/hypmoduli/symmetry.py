@@ -70,6 +70,12 @@ def _(couple: Couple) -> Couple:
     return Couple(apply_ir(couple.sp), apply_ir(couple.order))
 
 
+def im_representative(x):
+    """The member of {x, im x} whose text comes first: the one rule by which
+    an im-pair shares forced-sign certificates and Monte Carlo searches."""
+    return min(x, apply_im(x), key=str)
+
+
 GROUP_ELEMENTS = ("id", "im", "ir", "imir")
 
 

@@ -27,6 +27,7 @@ from hypmoduli.certify import (
     propagate,
     refute,
     sample_certificate,
+    settle,
     verify_certificate,
 )
 from hypmoduli.patterns import (
@@ -561,7 +562,7 @@ def test_frontier_seals_the_blocked_part_of_an_open_region():
     # orders with open walls and two non-realizable ones whose exit walls
     # are all blocked; only the latter are sealed
     sp = SignPattern.parse("++++--+")
-    table = frontier_exclusion(sp, propagate(sp, _stage_one(sp)))
+    table = settle(sp)
     statuses = _statuses(table)
     assert {o for o, s in statuses.items() if s is Status.UNKNOWN} == {
         "PPNNNN", "PNNPNN", "NPPNNN"
@@ -584,7 +585,7 @@ def test_frontier_before_monte_carlo_seals_only_non_realizable_couples():
     partial = set()
     for changes in range(7):
         for sp in enumerate_patterns(6, changes):
-            table = frontier_exclusion(sp, propagate(sp, _stage_one(sp)))
+            table = settle(sp)
             sealed = {o for o, v in table.items() if v.evidence_kind == "frontier"}
             for order in sealed:
                 assert reference.status(Couple(sp, order)) is Status.NON_REALIZABLE
@@ -793,6 +794,21 @@ def test_contradiction_on_corrupt_store(cfg, store):
     corrupt = dict(store)
     corrupt[killed] = rigid_witness(ModuliOrder("PNPNPN"))
     with pytest.raises(ContradictionError):
+        classify_pattern(killed.sp, cfg, corrupt)
+
+
+def test_stored_witness_contradiction_is_raised_before_monte_carlo(monkeypatch, cfg, store):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("mc_search ran before the contradiction check")
+
+    monkeypatch.setattr(search, "mc_search", no_sampling)
+    # 4,2,1 has orders only Monte Carlo decides; PNNNPN is sealed by frontier
+    killed = Couple(SignPattern.parse("4,2,1"), ModuliOrder("PNNNPN"))
+    corrupt = dict(store)
+    corrupt[killed] = rigid_witness(ModuliOrder("PNPNPN"))
+    with pytest.raises(ContradictionError, match="PNNNPN.*frontier evidence"):
+        settle(killed.sp, corrupt)
+    with pytest.raises(ContradictionError, match="PNNNPN.*frontier evidence"):
         classify_pattern(killed.sp, cfg, corrupt)
 
 

@@ -1,13 +1,16 @@
 """End-to-end exercises of the command-line interface through main(argv)."""
 
+from collections import Counter
+
 import pytest
 
-from hypmoduli import cli, search
-from hypmoduli.certify import ContradictionError, Status, Verdict
+from hypmoduli import certify, search
+from hypmoduli.certify import ContradictionError, Status, Verdict, refute
 from hypmoduli.cli import _sampler_config, build_parser, main
 from hypmoduli.patterns import Couple, ModuliOrder, SignPattern
 from hypmoduli.poly import _witness_line, append_witnesses, load_witnesses
 from hypmoduli.published import published_witnesses
+from hypmoduli.results import builtin_table
 from hypmoduli.search import SamplerConfig, transport
 
 
@@ -224,33 +227,66 @@ def test_search_keeps_the_seed_of_a_transported_mc_witness(tmp_path, capsys):
 
 
 def test_search_budget_exhausted(capsys):
-    # non-realizable, but only the exclusion stage of `decide` proves it
+    # non-realizable, but only the encoded table says so
     rc, out, err = run(
-        capsys, "search", "--pattern", "4,2,1", "--order", "PNNNPN",
+        capsys, "search", "--pattern", "2,4,1", "--order", "PPNNNN",
         "--budget", "500", "--seed", "1",
     )
     assert rc == 3
     assert out == ""
-    assert "no witness found for (4,2,1, PNNNPN) within budget 500" in err
+    assert "no witness found for (2,4,1, PPNNNN) within budget 500" in err
 
 
 @pytest.mark.parametrize(
-    "order, evidence",
-    [("NNPPNP", "(forced-sign): q_1 forced negative on NNPPNP: ["),
-     ("NPNPNP", "(rigid-order): +--++--")],
-    ids=["forced-sign", "rigid-order"],
+    "pattern, order, evidence",
+    [("2,2,2,1", "NNPPNP", "(forced-sign): q_1 forced negative on NNPPNP: ["),
+     ("2,2,2,1", "NPNPNP", "(rigid-order): +--++--"),
+     ("4,2,1", "PNNNPN", "(frontier): region {[0,3,1], [0,4,0]} sealed against anchor"),
+     ("3,1,2,1", "NNPPPN", "(propagation): all neighbours non-realizable: [1,1,0,1],")],
+    ids=["forced-sign", "rigid-order", "frontier", "propagation"],
 )
-def test_search_reports_a_refuted_couple_without_sampling(capsys, monkeypatch, order, evidence):
+def test_search_reports_a_refuted_couple_without_sampling(
+    capsys, monkeypatch, pattern, order, evidence
+):
     def no_sampling(*args, **kwargs):
         raise AssertionError("mc_search ran on a refuted couple")
 
     monkeypatch.setattr(search, "mc_search", no_sampling)
     rc, out, err = run(
-        capsys, "search", "--pattern", "2,2,2,1", "--order", order, "--budget", str(10**12),
+        capsys, "search", "--pattern", pattern, "--order", order, "--budget", str(10**12),
     )
     assert (rc, out) == (3, "")
-    assert err.startswith(f"(2,2,2,1, {order}) is non-realizable {evidence}")
+    assert err.startswith(f"({pattern}, {order}) is non-realizable {evidence}")
     assert err.count("\n") == 1
+
+
+def test_search_samples_no_couple_that_exclusion_proves(capsys, monkeypatch):
+    # of the encoded table's NonRealizable degree-6 couples that no
+    # certificate refutes, search proves all but the 12 encoded-only ones by
+    # exclusion without sampling, and samples only those 12
+    class Sampled(Exception):
+        pass
+
+    def sampled(*args, **kwargs):
+        raise Sampled
+
+    monkeypatch.setattr(search, "mc_search", sampled)
+    table = builtin_table(6)
+    kinds, encoded_only = Counter(), 0
+    for couple in table.couples():
+        if table.status(couple) is not Status.NON_REALIZABLE or refute(couple):
+            continue
+        try:
+            rc, out, err = run(
+                capsys, "search", "--pattern", str(couple.sp), "--order", couple.order.letters
+            )
+        except Sampled:
+            encoded_only += 1
+            continue
+        assert (rc, out) == (3, "")
+        kinds[err.split(" is non-realizable (")[1].split(")")[0]] += 1
+    assert encoded_only == 12
+    assert kinds == {"frontier": 36, "propagation": 28}
 
 
 def test_search_refuses_a_stored_witness_for_a_refuted_couple(capsys, monkeypatch):
@@ -258,7 +294,7 @@ def test_search_refuses_a_stored_witness_for_a_refuted_couple(capsys, monkeypatc
     # search must report the contradiction rather than pick one side
     realizable = Couple(SignPattern.parse("2,2,2,1"), ModuliOrder("NPPNNP"))
     monkeypatch.setattr(
-        cli, "refute", lambda c: Verdict(c, Status.NON_REALIZABLE, "forced-sign", "stub")
+        certify, "refute", lambda c: Verdict(c, Status.NON_REALIZABLE, "forced-sign", "stub")
     )
     rc, out, err = run(capsys, "search", "--pattern", "2,2,2,1", "--order", "NPPNNP")
     assert (rc, out) == (1, "")
@@ -365,6 +401,30 @@ def test_decide_requires_selector(capsys):
     rc, _, err = run(capsys, "decide")
     assert rc == 2
     assert "decide needs --pattern or --all" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--pattern", "2,2,2,1", "--all"], "decide takes --pattern or --all, not both"),
+     (["--pattern", "2,2,2,1", "--all", "--degree", "7"],
+      "decide takes --pattern or --all, not both"),
+     (["--pattern", "2,2,2,1", "--degree", "7"],
+      "--degree 7 differs from the pattern's degree 6")],
+    ids=["pattern-and-all", "pattern-all-and-degree", "degree-mismatch"],
+)
+def test_decide_rejects_conflicting_selectors(capsys, argv, message):
+    rc, out, err = run(capsys, "decide", *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_decide_pattern_accepts_its_own_degree(capsys):
+    rc, out, _ = run(capsys, "decide", "--pattern", "2,1", "--degree", "2")
+    assert rc == 0
+    assert out == (
+        "hypmoduli-verdicts v1\n"
+        "++-\t2,1\tNP\t[1,0]\tNonRealizable\trigid-order\trigid-orders\n"
+        "++-\t2,1\tPN\t[0,1]\tRealizable\twitness\t-\n"
+    )
 
 
 # ------------------------------------------- verify-paper and transport

@@ -317,6 +317,8 @@ def test_cross_validate_full_degree_six():
     report = cross_validate(budget=10_000, seed=0)
     assert report.couples_checked == 924
     assert report.agreements == 912
+    # witnesses with a sampler seed: Monte Carlo finds and their transports
+    assert report.mc_witnesses == 62
     assert report.contradictions == ()
     encoded_only = {(str(c.sp.composition()), c.order.letters) for c in report.lemma_dependent}
     assert encoded_only == {

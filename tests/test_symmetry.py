@@ -15,7 +15,15 @@ from hypmoduli.patterns import (
     is_rigid_order,
     rigid_sign_pattern,
 )
-from hypmoduli.symmetry import apply_group, apply_im, apply_ir, orbit_of, orbits
+from hypmoduli.certify import TiedOrder
+from hypmoduli.symmetry import (
+    apply_group,
+    apply_im,
+    apply_ir,
+    im_representative,
+    orbit_of,
+    orbits,
+)
 
 SP = SignPattern.parse
 MO = ModuliOrder.parse
@@ -60,6 +68,18 @@ def test_involution_laws_exhaustive():
             assert apply_im(apply_im(o)) == o
             assert apply_ir(apply_ir(o)) == o
             assert apply_im(apply_ir(o)) == apply_ir(apply_im(o))
+
+
+def test_im_representative_of_an_order_is_the_mirror_whose_letters_come_first():
+    # the `=` marks of a tied order sit at the same ranks in both mirrors,
+    # so comparing text and comparing letters pick the same member
+    for d in range(1, 8):
+        for order in all_orders(d):
+            letters = order.letters
+            ties = [()] + [(r,) for r in range(1, d) if letters[r - 1] != letters[r]]
+            for x in [order] + [TiedOrder(letters, t) for t in ties]:
+                first = min(x, apply_im(x), key=lambda o: o.letters)
+                assert im_representative(x) == im_representative(apply_im(x)) == first
 
 
 def test_im_has_no_fixed_sign_pattern():
