@@ -12,14 +12,18 @@ maps a certificate on one order exactly onto its mirror order, so the
 matching search runs once per im-pair of orders asked in one process, and
 every certificate, derived or searched, still passes the same verifier.
 
-Two encoded lemmas cover what matchings cannot: the neighbor-crossing
-argument (a realizable order is wall-connected to any other realizable
-order through σ-signed boundary polynomials (x²−1)R, so any region with a
-realizable order outside it and all exit walls impossible contains no
-realizable order; `frontier_exclusion` seals the largest such set of
-Unknown orders) and the pair lemma, an exact predicate
-(`pair_lemma_blocks`) that closes one degree-6 boundary shape by two
-inequalities proved in its docstring.
+The neighbor-crossing argument covers what per-couple certificates cannot:
+a realizable order is wall-connected to any other realizable order through
+σ-signed boundary polynomials (x²−1)R, so any region with a realizable
+order outside it and all exit walls impossible contains no realizable
+order; `frontier_exclusion` seals the largest such set of Unknown orders.
+A wall is impossible when forced-sign fixes a coefficient of its tied
+order against the pattern, or when a gap certificate rules out the
+pattern's signs on several coefficients at once: a nonnegative
+combination of s^μ·σ_k·q_k, in the positive gaps s between moduli, with
+no positive coefficient.  The few degree-6 gap certificates that frontier
+exclusion needs ship as data, found offline and re-verified exactly by
+`verify_gap_certificate` on first use.
 `settle` gives the verdicts known before any witness search: per-couple
 constructions and certificates, then one exclusion round; `classify_pattern`
 adds the staged witness search (stored, transported and concatenated
@@ -36,9 +40,11 @@ import dataclasses
 import enum
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .patterns import (
     Couple,
@@ -419,29 +425,151 @@ def sample_certificate(
     return samples - (positive if cert.sign > 0 else negative)
 
 
-# --------------------------------------------------- encoded pair lemma
+# ------------------------------------------------------- gap certificates
 
 
-def pair_lemma_blocks(tied: TiedOrder, sp: SignPattern) -> bool:
-    """Encoded pair lemma: whether no polynomial on the degree-6 boundary
-    shape `tied` can carry the outer signs of sp.
+@dataclass(frozen=True, slots=True)
+class GapCertificate:
+    """Proof that no polynomial whose root moduli respect `order` gives
+    each q_k of `signs` its sign σ_k.
 
-    The shape has one tied pair ±t and free roots +a, −f, −g, +b at
-    increasing moduli a<f<g<b (letters PNNP once the pair is removed).
-    The pair cancels from q_5 and from the reciprocal sum behind q_1, so
-    q_5 > 0 means a+b < f+g and q_1 < 0 means 1/a+1/b < 1/f+1/g.  Both
-    cannot hold: a+b < f+g gives f−a > b−g > 0, and af < bg, so
-    1/a − 1/f = (f−a)/(af) > (b−g)/(bg) = 1/g − 1/b.  Negating every root
-    maps the mirror shape NPPN with q_5 < 0, q_1 > 0 onto this one.  Any
-    other shape or sign choice returns False, which proves nothing.
+    Write the moduli as partial sums of positive gap variables: s_0 is the
+    smallest modulus and each further level adds one s_i, so q_k is an
+    integer form of degree d−k in the s.  Each term (k, μ, λ) adds
+    λ·s^μ·σ_k·q_k with λ ≥ 0 and deg μ = k, and every coefficient of the
+    sum is ≤ 0.  At the gaps of a polynomial carrying those signs, every
+    term with λ > 0 is strictly positive and so is the sum, which a form
+    with no positive coefficient never is at positive gaps; so no such
+    polynomial exists.  This is a positivity certificate in the style of
+    Pólya and Handelman; a forced-sign certificate is the one-coefficient
+    case.
     """
-    d = tied.degree
-    if d != 6 or len(tied.tied) != 1 or sp.degree != d:
-        return False
-    r = tied.tied[0]
-    free = "".join(ch for i, ch in enumerate(tied.letters, start=1) if i not in (r, r + 1))
-    q5, q1 = sp.signs[1], sp.signs[d - 1]
-    return (free == "PNNP" and q5 > 0 and q1 < 0) or (free == "NPPN" and q5 < 0 and q1 > 0)
+
+    order: TiedOrder
+    signs: tuple[tuple[int, int], ...]  # (k, σ_k), one per coefficient used
+    terms: tuple[tuple[int, tuple[int, ...], Fraction], ...]  # (k, μ, λ)
+
+    def applies_to(self, sp: SignPattern) -> bool:
+        """Whether sp demands the certificate's sign of every coefficient
+        it uses."""
+        d = self.order.degree
+        return sp.degree == d and all(sp.signs[d - k] == s for k, s in self.signs)
+
+    def __str__(self) -> str:
+        return "gap certificate on " + ", ".join(f"q_{k}" for k, _ in self.signs)
+
+
+def _gap_coefficients(order: ModuliOrder | TiedOrder) -> list[dict[tuple[int, ...], int]]:
+    """q_k for k = 0..d as integer forms in the gap variables, rebuilt from
+    the letters: the product of (x − r) with r = ±(s_0 + … + s_{l−1}) for
+    a root at level l."""
+    levels = _rank_levels(order)
+    n = max(levels)
+    q: list[dict[tuple[int, ...], int]] = [{(0,) * n: 1}]
+    for letter, level in zip(order.letters, levels):
+        minus_root = -1 if letter == "P" else 1
+        nxt: list[dict[tuple[int, ...], int]] = [{} for _ in range(len(q) + 1)]
+        for j, form in enumerate(q):
+            for mono, c in form.items():
+                nxt[j + 1][mono] = nxt[j + 1].get(mono, 0) + c
+                for i in range(level):
+                    raised = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                    nxt[j][raised] = nxt[j].get(raised, 0) + minus_root * c
+        q = nxt
+    return q
+
+
+def verify_gap_certificate(cert: GapCertificate) -> bool:
+    """Standalone exact re-validation of a gap certificate; raises
+    CertificateError on any defect, returns True otherwise."""
+    d = cert.order.degree
+    signs = dict(cert.signs)
+    if len(signs) != len(cert.signs) or not signs:
+        raise CertificateError("each coefficient used needs exactly one sign")
+    for k, s in cert.signs:
+        if not 0 <= k <= d or s not in (1, -1):
+            raise CertificateError(f"bad sign {s} for q_{k}")
+    q = _gap_coefficients(cert.order)
+    n = len(next(iter(q[0])))
+    # scaling every λ by their common denominator keeps every sign and
+    # leaves integers to add
+    scale = math.lcm(*(Fraction(lam).denominator for _, _, lam in cert.terms))
+    total: dict[tuple[int, ...], int] = {}
+    for k, mu, lam in cert.terms:
+        if k not in signs:
+            raise CertificateError(f"term on q_{k}, which carries no sign")
+        if lam < 0:
+            raise CertificateError(f"negative multiplier {lam} on q_{k}")
+        if len(mu) != n or min(mu) < 0 or sum(mu) != k:
+            raise CertificateError(f"multiplier s^{mu} of q_{k} is not of degree {k}")
+        weight = int(lam * scale) * signs[k]
+        for mono, c in q[k].items():
+            key = tuple(map(operator.add, mono, mu))
+            total[key] = total.get(key, 0) + weight * c
+    if {k for k, _, lam in cert.terms if lam > 0} != set(signs):
+        raise CertificateError("every signed coefficient needs a positive multiplier")
+    for mono, c in sorted(total.items()):
+        if c > 0:
+            raise CertificateError(f"coefficient {c} of s^{mono} is positive")
+    return True
+
+
+# The degree-6 walls that frontier exclusion needs closed where forced-sign
+# finds nothing, one certificate per im-pair of tied orders.  Each was found
+# by a float linear program (λ ≥ 0, Σλ = 1, every coefficient of the sum
+# ≤ 0) over all multipliers of degree k on two coefficients, made exact by
+# solving the program's tight rows over the rationals and scaling λ to
+# integers, then checked by `verify_gap_certificate`.  No solver runs here:
+# `gap_certificate` re-verifies each one, and each mirror, on first use.
+# Those on P=NPNNP and PNNPN=P carry the pair lemma: with free roots
+# +a, −f, −g, +b at moduli a<f<g<b, q_5 > 0 (a+b < f+g) and q_1 < 0 exclude
+# each other.
+_SHIPPED_GAP_CERTIFICATES = tuple(
+    GapCertificate(order, signs, tuple((k, mu, Fraction(lam)) for k, mu, lam in terms))
+    for order, signs, terms in [
+        (TiedOrder("PNPNNN", (3,)), ((1, -1), (4, -1)), [  # PNP=NNN
+            (1, (1, 0, 0, 0, 0), 1), (4, (1, 0, 3, 0, 0), 2), (4, (1, 1, 2, 0, 0), 3),
+            (4, (1, 2, 0, 1, 0), 28), (4, (1, 3, 0, 0, 0), 3), (4, (2, 0, 1, 1, 0), 16),
+            (4, (2, 1, 1, 0, 0), 3), (4, (3, 0, 1, 0, 0), 6), (4, (3, 1, 0, 0, 0), 7),
+        ]),
+        (TiedOrder("NNNPNP", (3,)), ((2, -1), (5, -1)), [  # NNN=PNP
+            (2, (1, 0, 0, 0, 1), 1), (5, (4, 0, 0, 0, 1), 2),
+        ]),
+        (TiedOrder("PNPNNP", (1,)), ((1, -1), (5, 1)), [  # P=NPNNP
+            (1, (0, 1, 0, 0, 0), 1), (5, (2, 3, 0, 0, 0), 1), (5, (3, 2, 0, 0, 0), 2),
+            (5, (4, 1, 0, 0, 0), 1),
+        ]),
+        (TiedOrder("PNNPNP", (5,)), ((1, -1), (5, 1)), [  # PNNPN=P
+            (1, (1, 0, 0, 0, 0), 1), (5, (3, 0, 0, 0, 2), 1), (5, (3, 0, 0, 1, 1), 2),
+            (5, (3, 0, 0, 2, 0), 1), (5, (3, 0, 1, 0, 1), 2), (5, (3, 0, 1, 1, 0), 2),
+            (5, (3, 0, 2, 0, 0), 1), (5, (3, 1, 0, 0, 1), 2), (5, (3, 1, 0, 1, 0), 2),
+            (5, (4, 0, 0, 0, 1), 2), (5, (4, 0, 0, 1, 0), 2), (5, (4, 0, 1, 0, 0), 2),
+            (5, (4, 1, 0, 0, 0), 2), (5, (5, 0, 0, 0, 0), 1),
+        ]),
+    ]
+)
+
+
+@functools.cache
+def gap_certificate(order: TiedOrder) -> GapCertificate | None:
+    """The shipped gap certificate on `order`, verified on its first use in
+    the process; None when none is shipped.
+
+    Negating every root multiplies q_k by (−1)^(d−k), and the im mirror of
+    a pattern flips σ_k by the same factor, so σ_k·q_k is unchanged: the
+    mirror of a shipped certificate takes the same terms with those signs.
+    A shipped certificate that fails verification raises CertificateError
+    instead of proving nothing."""
+    mirror = apply_im(order)
+    for cert in _SHIPPED_GAP_CERTIFICATES:
+        if cert.order == mirror:
+            d = order.degree
+            signs = tuple((k, s * (-1) ** (d - k)) for k, s in cert.signs)
+            cert = GapCertificate(order, signs, cert.terms)
+        if cert.order == order:
+            verify_gap_certificate(cert)
+            return cert
+    return None
 
 
 # ------------------------------------------------------------ verdicts
@@ -534,15 +662,20 @@ def _wall_block_reason(
     v: ModuliOrder,
     table: dict[ModuliOrder, Verdict],
 ) -> str | None:
-    """Why no realizable configuration can cross the wall u|v outward."""
+    """Why no realizable configuration can cross the wall u|v outward: the
+    chamber beyond is non-realizable, a forced-sign certificate on the
+    wall's tied order contradicts sp, or, where forced-sign finds nothing,
+    a shipped gap certificate on the tied order applies to sp.  The reason
+    names the coefficients that rule the wall out."""
     if table[v].status is Status.NON_REALIZABLE:
         return f"target {order_to_uvector(v)} non-realizable"
     tied = TiedOrder.wall(u, v)
     cert = contradicting_certificate(tied, sp)
     if cert is not None:
         return f"boundary forces q_{cert.k} {'positive' if cert.sign > 0 else 'negative'}"
-    if pair_lemma_blocks(tied, sp):
-        return "boundary infeasible by pair lemma"
+    gap = gap_certificate(tied)
+    if gap is not None and gap.applies_to(sp):
+        return f"boundary infeasible by {gap}"
     return None
 
 
@@ -551,8 +684,9 @@ def frontier_exclusion(
 ) -> dict[ModuliOrder, Verdict]:
     """Seal the largest set of Unknown orders whose exit walls are all
     blocked (the chamber beyond is non-realizable, or the wall's tied order
-    forces a coefficient sign against sp, or the pair lemma applies): if
-    some order is Realizable, every order inside is NonRealizable.
+    forces a coefficient sign against sp, or a gap certificate rules out
+    sp's signs on it; see `_wall_block_reason`): if some order is
+    Realizable, every order inside is NonRealizable.
 
     That set is a greatest fixed point: start from every Unknown order and
     drop, through a worklist over the neighbours of each dropped order, any

@@ -262,13 +262,16 @@ def rigid_witness(order: ModuliOrder) -> Witness:
     return w
 
 
+@cache
 def canonical_witness(sp: SignPattern) -> Witness:
     """Deterministic witness for (sp, canonical order of sp), built by
     concatenating one root at a time along the truncation chain.
 
     Dropping the constant-term sign of sp drops the first letter of its
     canonical order, so the chain recurses to degree 1 and every couple
-    on it is again canonical.
+    on it is again canonical.  Memoized: the witness is a pure function of
+    sp, and a sweep asks for it from every stage that needs the canonical
+    couple.
     """
     if sp.degree == 1:
         root = Fraction(1) if sp.signs[1] == -1 else Fraction(-1)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypmoduli.certify import (
     ContradictionError,
     ForcedSignCertificate,
     FrontierEvidence,
+    GapCertificate,
     SignedMonomial,
     Status,
     TiedOrder,
@@ -23,12 +25,13 @@ from hypmoduli.certify import (
     contradicting_certificate,
     forced_sign,
     frontier_exclusion,
-    pair_lemma_blocks,
+    gap_certificate,
     propagate,
     refute,
     sample_certificate,
     settle,
     verify_certificate,
+    verify_gap_certificate,
 )
 from hypmoduli.patterns import (
     Couple,
@@ -352,51 +355,45 @@ def test_sampler_rejects_coefficient_index_out_of_range():
             sample_certificate(cert, samples=50, seed=SEED)
 
 
-# ------------------------------------------------------------ pair lemma
+# ------------------------------------------------------- gap certificates
+
+
+def _blocks(tied, sp):
+    cert = gap_certificate(tied)
+    return cert is not None and cert.applies_to(sp)
+
+
+# The pair lemma: on a degree-6 wall whose free roots +a, −f, −g, +b have
+# moduli a<f<g<b, q_5 > 0 (a+b < f+g) and q_1 < 0 exclude each other.  The
+# gap certificates on q_1, q_5 carry it for the walls a sweep asks.
 
 
 def test_pair_lemma_bottom_tie():
     tied = TiedOrder.wall(U(0, 1, 2, 0), U(1, 0, 2, 0))
-    assert pair_lemma_blocks(tied, SignPattern.parse("2,1,2,2"))
+    assert str(tied) == "P=NPNNP"
+    assert _blocks(tied, SignPattern.parse("2,1,2,2"))
 
 
 def test_pair_lemma_top_tie():
     tied = TiedOrder.wall(U(0, 2, 1, 0), U(0, 2, 0, 1))
-    assert pair_lemma_blocks(tied, SignPattern.parse("2,1,2,2"))
+    assert str(tied) == "PNNPN=P"
+    assert _blocks(tied, SignPattern.parse("2,1,2,2"))
 
 
 def test_pair_lemma_mirror_shape():
-    assert pair_lemma_blocks(TiedOrder("NPNPPN", (1,)), SignPattern.parse("1,3,2,1"))
+    assert _blocks(TiedOrder("NPNPPN", (1,)), SignPattern.parse("1,3,2,1"))
     # each shape takes only its own outer signs
-    assert not pair_lemma_blocks(TiedOrder("NPNPPN", (1,)), SignPattern.parse("2,1,2,2"))
-    assert not pair_lemma_blocks(TiedOrder("PNPNNP", (1,)), SignPattern.parse("1,3,2,1"))
+    assert not _blocks(TiedOrder("NPNPPN", (1,)), SignPattern.parse("2,1,2,2"))
+    assert not _blocks(TiedOrder("PNPNNP", (1,)), SignPattern.parse("1,3,2,1"))
 
 
 def test_pair_lemma_rejects_other_shapes():
-    assert not pair_lemma_blocks(TiedOrder("PPNNNP", (5,)), SignPattern.parse("2,1,2,2"))
-    # free letters match but the pattern's outer signs do not
-    assert not pair_lemma_blocks(TiedOrder("PNPNNP", (1,)), SignPattern.parse("3,1,2,1"))
-    # only degree 6 with a single tie
-    assert not pair_lemma_blocks(TiedOrder("PNPNNP", (1, 3)), SignPattern.parse("2,1,2,2"))
-    assert not pair_lemma_blocks(TiedOrder("PNNNP", (1,)), SignPattern.parse("2,1,2,1"))
-
-
-def test_pair_lemma_statement_holds_exactly():
-    """a<f<g<b never has both a+b < f+g and 1/a+1/b < 1/f+1/g, in exact
-    arithmetic over 10,000 draws of hundredths in (0, 100]."""
-    rng = random.Random(SEED)
-    sums_below = reciprocals_below = 0
-    for _ in range(10_000):
-        quad: set[Fraction] = set()
-        while len(quad) < 4:
-            quad.add(Fraction(rng.randint(1, 10_000), 100))
-        a, f, g, b = sorted(quad)
-        sum_below = a + b < f + g
-        reciprocal_below = 1 / a + 1 / b < 1 / f + 1 / g
-        assert not (sum_below and reciprocal_below), (a, f, g, b)
-        sums_below += sum_below
-        reciprocals_below += reciprocal_below
-    assert sums_below > 1000 and reciprocals_below > 1000
+    assert gap_certificate(TiedOrder("PPNNNP", (5,))) is None
+    # the shape is shipped but the pattern's outer signs do not match
+    assert not _blocks(TiedOrder("PNPNNP", (1,)), SignPattern.parse("3,1,2,1"))
+    # nothing ships for two ties or for another degree
+    assert gap_certificate(TiedOrder("PNPNNP", (1, 3))) is None
+    assert gap_certificate(TiedOrder("PNNNP", (1,))) is None
 
 
 def _single_tie_orders(d):
@@ -406,40 +403,153 @@ def _single_tie_orders(d):
                 yield TiedOrder("".join(letters), (r,))
 
 
-def test_pair_lemma_blocks_only_sound_walls():
-    """Every wall the predicate blocks is empty of its patterns' outer
-    signs: 500 exact integer configurations per wall, tie respected."""
-    patterns = [sp for c in range(7) for sp in enumerate_patterns(6, c)]
-    assert len(patterns) == 64
-    blocked = {}
-    for tied in _single_tie_orders(6):
-        for sp in patterns:
-            if pair_lemma_blocks(tied, sp):
-                blocked.setdefault(tied, []).append(sp)
-    assert sum(len(sps) for sps in blocked.values()) == 320
-    assert len(blocked) == 20
+def _shipped_with_mirrors():
+    orders = [o for c in certify._SHIPPED_GAP_CERTIFICATES for o in (c.order, apply_im(c.order))]
+    return [gap_certificate(o) for o in orders]
 
+
+def test_shipped_gap_certificates_verify():
+    shipped = certify._SHIPPED_GAP_CERTIFICATES
+    assert [str(c.order) for c in shipped] == ["PNP=NNN", "NNN=PNP", "P=NPNNP", "PNNPN=P"]
+    for cert in shipped:
+        assert verify_gap_certificate(cert)
+        assert gap_certificate(cert.order) == cert
+        mirror = gap_certificate(apply_im(cert.order))
+        assert mirror.terms == cert.terms and verify_gap_certificate(mirror)
+    assert [str(c) for c in shipped] == [
+        "gap certificate on q_1, q_4", "gap certificate on q_2, q_5",
+        "gap certificate on q_1, q_5", "gap certificate on q_1, q_5",
+    ]
+
+
+def test_gap_certificates_hold_on_exact_configurations():
+    """No exact integer configuration on a certificate's tied order carries
+    all the signs it rules out, while each sign alone does occur: 2,000
+    configurations per tied order, mirrors included."""
     rng = random.Random(SEED)
-    for tied, sps in blocked.items():
-        r = tied.tied[0]
-        levels = list(itertools.accumulate(0 if rank == r + 1 else 1 for rank in range(1, 7)))
-        outer_signs = {(sp.signs[1], sp.signs[5]) for sp in sps}
-        assert len(outer_signs) == 1
-        (q5, q1), = outer_signs
-        q5_seen = q1_seen = 0
-        for _ in range(500):
-            values = sorted(rng.sample(range(1, 201), 5))
+    for cert in _shipped_with_mirrors():
+        tied, d = cert.order, cert.order.degree
+        levels = list(itertools.accumulate(
+            0 if rank - 1 in tied.tied else 1 for rank in range(1, d + 1)
+        ))
+        seen = Counter()
+        for _ in range(2_000):
+            values = sorted(rng.sample(range(1, 201), max(levels)))
             roots = tuple(
                 Fraction(values[lvl - 1] if ch == "P" else -values[lvl - 1])
                 for lvl, ch in zip(levels, tied.letters)
             )
             coeffs = expand(RootConfiguration(roots)).coefficients
-            q5_here = coeffs[1] * q5 > 0
-            q1_here = coeffs[5] * q1 > 0
-            assert not (q5_here and q1_here), (tied, roots)
-            q5_seen += q5_here
-            q1_seen += q1_here
-        assert q5_seen and q1_seen, tied
+            carried = [k for k, sign in cert.signs if coeffs[d - k] * sign > 0]
+            assert len(carried) < len(cert.signs), (tied, roots)
+            seen.update(carried)
+        assert set(seen) == {k for k, _ in cert.signs}, tied
+
+
+def _tampered(cert):
+    """(defect, tampered copy, the verifier's message) for each defect; the
+    first two keep every coefficient of the sum ≤ 0, so only the check
+    they name can catch them."""
+    signs = dict(cert.signs)
+    # the first other shipped order; these terms fail there, though some
+    # other orders admit them
+    swapped = next(c.order for c in certify._SHIPPED_GAP_CERTIFICATES if c.order != cert.order)
+    yield "negative multipliers on flipped signs", dataclasses.replace(
+        cert,
+        signs=tuple((k, -s) for k, s in cert.signs),
+        terms=tuple((k, mu, -lam) for k, mu, lam in cert.terms),
+    ), "negative multiplier"
+    yield "every multiplier one degree too high", dataclasses.replace(
+        cert, terms=tuple((k, (mu[0] + 1, *mu[1:]), lam) for k, mu, lam in cert.terms)
+    ), "not of degree"
+    for k in signs:
+        yield f"flipped sign of q_{k}", dataclasses.replace(
+            cert, signs=tuple((j, -s if j == k else s) for j, s in cert.signs)
+        ), "positive"
+    yield "mirror order, same signs", dataclasses.replace(
+        cert, order=apply_im(cert.order)), "positive"
+    yield f"swapped order {swapped}", dataclasses.replace(cert, order=swapped), "positive"
+    yield "all multipliers zero", dataclasses.replace(
+        cert, terms=tuple((k, mu, Fraction(0)) for k, mu, _ in cert.terms)
+    ), "positive multiplier"
+    mu0 = cert.terms[0][1]
+    yield "unsigned coefficient", dataclasses.replace(
+        cert, terms=((0, (0,) * len(mu0), Fraction(1)), *cert.terms)
+    ), "carries no sign"
+
+
+def test_tampered_gap_certificates_are_rejected():
+    for cert in certify._SHIPPED_GAP_CERTIFICATES:
+        for defect, bad, message in _tampered(cert):
+            with pytest.raises(CertificateError, match=message):
+                verify_gap_certificate(bad)
+                pytest.fail(f"{cert.order}: {defect} verified")
+
+
+def test_gap_certificate_needs_every_used_sign():
+    # a pattern that disagrees on one used coefficient is not covered, and a
+    # certificate rewritten to that pattern's signs fails verification
+    cert = gap_certificate(TiedOrder("PNPNNN", (3,)))
+    sp = SignPattern.parse("2,4,1")
+    assert cert.applies_to(sp)
+    for k, sign in cert.signs:
+        signs = list(sp.signs)
+        signs[6 - k] = -sign
+        other = SignPattern(tuple(signs))
+        assert not cert.applies_to(other)
+        rewritten = dataclasses.replace(
+            cert, signs=tuple((j, other.signs[6 - j]) for j, _ in cert.signs))
+        with pytest.raises(CertificateError, match="positive"):
+            verify_gap_certificate(rewritten)
+    assert not cert.applies_to(SignPattern.parse("2,4"))
+
+
+def test_every_shipped_gap_certificate_closes_a_wall_of_the_degree_six_sweep():
+    used = set()
+    for changes in range(7):
+        for sp in enumerate_patterns(6, changes):
+            for verdict in settle(sp).values():
+                if verdict.evidence_kind == "frontier":
+                    used |= {
+                        str(TiedOrder.wall(u, v)) for u, v, why in verdict.evidence.blocks
+                        if why.startswith("boundary infeasible by gap certificate")
+                    }
+    assert used == {str(c.order) for c in _shipped_with_mirrors()}
+
+
+def test_gap_certificate_is_verified_once_on_first_use(monkeypatch):
+    calls = []
+    original = certify.verify_gap_certificate
+
+    def counted(cert):
+        calls.append(cert.order)
+        return original(cert)
+
+    monkeypatch.setattr(certify, "verify_gap_certificate", counted)
+    gap_certificate.cache_clear()
+    try:
+        tied = TiedOrder("NNNPNP", (3,))
+        assert gap_certificate(tied) is gap_certificate(tied)
+        assert calls == [tied]
+    finally:
+        gap_certificate.cache_clear()
+
+
+def test_a_shipped_gap_certificate_that_fails_raises(monkeypatch):
+    # a bad shipped certificate is an error, never a wall left open
+    flipped = tuple(
+        dataclasses.replace(c, signs=tuple((k, -s) for k, s in c.signs))
+        for c in certify._SHIPPED_GAP_CERTIFICATES
+    )
+    monkeypatch.setattr(certify, "_SHIPPED_GAP_CERTIFICATES", flipped)
+    gap_certificate.cache_clear()
+    try:
+        with pytest.raises(CertificateError):
+            gap_certificate(TiedOrder("PNPNNN", (3,)))
+        with pytest.raises(CertificateError):
+            settle(SignPattern.parse("2,4,1"))
+    finally:
+        gap_certificate.cache_clear()
 
 
 # ------------------------------------------------------------ refute
@@ -591,10 +701,15 @@ def test_frontier_before_monte_carlo_seals_only_non_realizable_couples():
                 assert reference.status(Couple(sp, order)) is Status.NON_REALIZABLE
             if any(v.status is Status.UNKNOWN for v in table.values()):
                 partial |= {(str(sp), o.letters) for o in sealed}
-    # the seals that leave part of the Unknown region open; the last 24
-    # lie in the orbits of published-store patterns, whose realizable
-    # orders are witnessed only after exclusion
+    # the seals that leave part of the Unknown region open; the first 12
+    # close a region whose one open exit wall only a gap certificate
+    # blocks, and the last 24 lie in the orbits of published-store
+    # patterns, whose realizable orders are witnessed only after exclusion
     assert partial == {
+        ("++----+", "PPNNNN"), ("++----+", "PNPNNN"), ("++----+", "NPPNNN"),
+        ("+----++", "NNNNPP"), ("+----++", "NNNPNP"), ("+----++", "NNNPPN"),
+        ("++-+--+", "PPPPNN"), ("++-+--+", "PPPNPN"), ("++-+--+", "PPPNNP"),
+        ("+--+-++", "NNPPPP"), ("+--+-++", "NPNPPP"), ("+--+-++", "PNNPPP"),
         ("++++--+", "PNNNPN"), ("++++--+", "PNNNNP"),
         ("+++--++", "NPNNNP"),
         ("++--+++", "PNNNPN"),
@@ -673,8 +788,8 @@ def test_classify_second_pattern_uses_pair_lemma(cfg, store):
         (0, 0, 3, 0), (0, 1, 2, 0), (0, 2, 1, 0), (0, 3, 0, 0)
     }
     reasons = {(u.letters, v.letters): why for u, v, why in sealed.evidence.blocks}
-    assert reasons[("PNPNNP", "NPPNNP")] == "boundary infeasible by pair lemma"
-    assert reasons[("PNNPNP", "PNNPPN")] == "boundary infeasible by pair lemma"
+    assert reasons[("PNPNNP", "NPPNNP")] == "boundary infeasible by gap certificate on q_1, q_5"
+    assert reasons[("PNNPNP", "PNNPPN")] == "boundary infeasible by gap certificate on q_1, q_5"
 
 
 def test_classify_fifteen_of_twenty(cfg, store):
@@ -815,6 +930,6 @@ def test_stored_witness_contradiction_is_raised_before_monte_carlo(monkeypatch, 
 def test_stored_witnesses_check_exclusion_verdicts(monkeypatch, store):
     # exclusion runs before stored witnesses are looked up, so an unsound
     # wall lemma that seals a stored-witness order is caught
-    monkeypatch.setattr("hypmoduli.certify.pair_lemma_blocks", lambda tied, sp: True)
+    monkeypatch.setattr(certify, "gap_certificate", lambda tied: GapCertificate(tied, (), ()))
     with pytest.raises(ContradictionError, match="PPPNNN.*frontier evidence"):
         classify_pattern(SignPattern.parse("3,1,2,1"), SamplerConfig(seed=SEED, budget=1000), store)

@@ -227,14 +227,14 @@ def test_search_keeps_the_seed_of_a_transported_mc_witness(tmp_path, capsys):
 
 
 def test_search_budget_exhausted(capsys):
-    # non-realizable, but only the encoded table says so
+    # realizable, but no witness turns up within so small a budget
     rc, out, err = run(
-        capsys, "search", "--pattern", "2,4,1", "--order", "PPNNNN",
+        capsys, "search", "--pattern", "2,3,2", "--order", "PPNNNN",
         "--budget", "500", "--seed", "1",
     )
     assert rc == 3
     assert out == ""
-    assert "no witness found for (2,4,1, PPNNNN) within budget 500" in err
+    assert "no witness found for (2,3,2, PPNNNN) within budget 500" in err
 
 
 @pytest.mark.parametrize(
@@ -242,8 +242,10 @@ def test_search_budget_exhausted(capsys):
     [("2,2,2,1", "NNPPNP", "(forced-sign): q_1 forced negative on NNPPNP: ["),
      ("2,2,2,1", "NPNPNP", "(rigid-order): +--++--"),
      ("4,2,1", "PNNNPN", "(frontier): region {[0,3,1], [0,4,0]} sealed against anchor"),
+     ("2,4,1", "PNPNNN", "(frontier): region {[0,0,4], [0,1,3], [1,0,3]} sealed against "
+      "anchor PNNNPN: PNPNNN|PNNPNN: boundary infeasible by gap certificate on q_1, q_4;"),
      ("3,1,2,1", "NNPPPN", "(propagation): all neighbours non-realizable: [1,1,0,1],")],
-    ids=["forced-sign", "rigid-order", "frontier", "propagation"],
+    ids=["forced-sign", "rigid-order", "frontier", "gap-certificate", "propagation"],
 )
 def test_search_reports_a_refuted_couple_without_sampling(
     capsys, monkeypatch, pattern, order, evidence
@@ -261,9 +263,8 @@ def test_search_reports_a_refuted_couple_without_sampling(
 
 
 def test_search_samples_no_couple_that_exclusion_proves(capsys, monkeypatch):
-    # of the encoded table's NonRealizable degree-6 couples that no
-    # certificate refutes, search proves all but the 12 encoded-only ones by
-    # exclusion without sampling, and samples only those 12
+    # search proves every NonRealizable degree-6 couple of the encoded table
+    # that no certificate refutes by exclusion, without sampling
     class Sampled(Exception):
         pass
 
@@ -285,8 +286,8 @@ def test_search_samples_no_couple_that_exclusion_proves(capsys, monkeypatch):
             continue
         assert (rc, out) == (3, "")
         kinds[err.split(" is non-realizable (")[1].split(")")[0]] += 1
-    assert encoded_only == 12
-    assert kinds == {"frontier": 36, "propagation": 28}
+    assert encoded_only == 0
+    assert kinds == {"frontier": 48, "propagation": 28}
 
 
 def test_search_refuses_a_stored_witness_for_a_refuted_couple(capsys, monkeypatch):
