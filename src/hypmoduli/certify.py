@@ -290,18 +290,13 @@ def forced_sign(order: ModuliOrder | TiedOrder, k: int) -> ForcedSignCertificate
         if assignment is None:
             continue
         matching = tuple(sorted(assignment.items(), key=lambda p: p[0].support))
-        strictness = None
-        for m, M in matching:
-            if vectors[m] != vectors[M]:
-                strictness = ("strict-pair", (m, M))
-                break
-        if strictness is None:
-            used = set(assignment.values())
-            surplus = sorted((M for M in majority if M not in used), key=lambda M: M.support)
-            if surplus:
-                strictness = ("unmatched-majority", surplus[0])
-        if strictness is None:
-            continue  # everything pairs off exactly; q_k may vanish
+        # every matched pair is strict: within one census a level multiset
+        # fixes the support (a tie merges two ranks only where monomials hold
+        # both or neither), and the support fixes the sign
+        if matching:
+            strictness = ("strict-pair", matching[0])
+        else:
+            strictness = ("unmatched-majority", min(majority, key=lambda M: M.support))
         return ForcedSignCertificate(order, k, claimed, matching, strictness)
     return None
 
@@ -368,6 +363,8 @@ def verify_certificate(cert: ForcedSignCertificate) -> bool:
         m, M = detail
         if (m, M) not in cert.matching:
             raise CertificateError("strict pair is not part of the matching")
+        # unreachable once the census checks pass, as `forced_sign` argues;
+        # kept so that the verifier does not rest on that argument
         if _level_vector(m, levels) == _level_vector(M, levels):
             raise CertificateError("strict pair has equal level vectors")
     elif kind == "unmatched-majority":
@@ -599,8 +596,6 @@ class Verdict:
             return "all neighbours non-realizable: " + ", ".join(
                 str(order_to_uvector(o)) for o in self.evidence
             )
-        if self.evidence_kind == "frontier":
-            return str(self.evidence)
         if self.evidence is None:
             return self.evidence_kind
         return str(self.evidence)

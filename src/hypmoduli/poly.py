@@ -134,14 +134,12 @@ def expand(rc: RootConfiguration) -> Polynomial:
 
 
 def sign_pattern_of(p: Polynomial) -> SignPattern:
-    """Coefficient sign string, normalized to a leading +."""
+    """Coefficient sign string; the monic leading coefficient gives the
+    leading +."""
     for i, c in enumerate(p.coefficients):
         if c == 0:
             raise ValueError(f"vanishing coefficient of x^{p.degree - i}")
-    signs = tuple(1 if c > 0 else -1 for c in p.coefficients)
-    if signs[0] == -1:
-        signs = tuple(-s for s in signs)
-    return SignPattern(signs)
+    return SignPattern(tuple(1 if c > 0 else -1 for c in p.coefficients))
 
 
 def moduli_order_of(rc: RootConfiguration) -> ModuliOrder:

@@ -25,8 +25,6 @@ from .patterns import (
     SignPattern,
     canonical_order,
     is_compatible,
-    is_rigid_order,
-    rigid_sign_pattern,
     signs_to_cp,
 )
 from .poly import RootConfiguration, Witness, make_witness
@@ -60,7 +58,6 @@ class Found:
 class Exhausted:
     couple: Couple
     budget: int
-    sign_rejections: int  # samples that matched the order but not the signs
 
 
 SearchOutcome = Found | Exhausted
@@ -85,17 +82,17 @@ def _scan(d: int):
     `_SPREAD_DECADES`.  The sorted moduli are skipped as degenerate when
     the smallest is zero or two neighbours are equal, a measure-zero event
     that no order of distinct nonzero moduli can describe; a skipped draw
-    still uses its iteration, so the alternation never shifts.  Otherwise the roots mj * uj (`units` of +-1.0) are
-    multiplied in one at a time, coefficient k after root j being
-    c[j-1][k] - c[j-1][k-1] * rj with one rounding per operation; the
-    triangle is filled column by column (coefficient k needs only columns
-    below k), moving on at the first coefficient that is zero or differs
-    in sign from `signs`.  The leading coefficient 1 always matches the
-    normalized leading sign.  Recorded MC outcomes depend on exactly this
-    RNG use and arithmetic.
+    still uses its iteration, so the alternation never shifts.  Otherwise
+    the roots mj * uj (`units` of +-1.0) are multiplied in one at a time,
+    coefficient k after root j being c[j-1][k] - c[j-1][k-1] * rj with one
+    rounding per operation; the triangle is filled column by column
+    (coefficient k needs only columns below k), moving on at the first
+    coefficient that is zero or differs in sign from `signs`.  The leading
+    coefficient 1 always matches the normalized leading sign.  Recorded MC
+    outcomes depend on exactly this RNG use and arithmetic.
 
     Returns (index of the first iteration whose moduli pass, those sorted
-    moduli, degenerate draws skipped), or (budget, None, skipped).
+    moduli), or (budget, None).
     """
     ms = ", ".join(f"m{j}" for j in range(1, d + 1))
     draws = ", ".join(["rand()"] * d)
@@ -107,7 +104,6 @@ def _scan(d: int):
         "def scan(rand, units, signs, start, budget):",
         f"    {''.join(f'u{j}, ' for j in range(1, d + 1))}= units",
         f"    _, {''.join(f'p{k}, ' for k in range(1, d + 1))}= [s > 0 for s in signs]",
-        "    skipped = 0",
         "    for i in range(start, budget):",
         "        if i & 1:",
         f"            {ms} = {draws}",
@@ -117,7 +113,6 @@ def _scan(d: int):
         "        ms.sort()",
         f"        {ms}, = ms",
         f"        if {distinct}:",
-        "            skipped += 1",
         "            continue",
         *(f"        r{j} = m{j} * u{j}" for j in range(1, d + 1)),
     ]
@@ -129,59 +124,43 @@ def _scan(d: int):
         lines.append(f"        if c{d}_{k} == 0.0 or (c{d}_{k} > 0) != p{k}:")
         lines.append("            continue")
         below = [f"c{j}_{k}" for j in range(d)]  # only j >= k are defined and read
-    lines += ["        return i, ms, skipped", "    return budget, None, skipped"]
+    lines += ["        return i, ms", "    return budget, None"]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["scan"]
 
 
-def _rounded_witness(w: Witness) -> Witness | None:
-    """w with its roots rounded to six decimals for compact storage, or
-    None when the rounded roots no longer realize w's couple."""
-    rounded = tuple(Fraction(format(float(r), ".6f")) for r in w.roots.roots)
-    if any(r == 0 for r in rounded):
-        return None
-    try:
-        stored = make_witness(RootConfiguration(rounded), w.provenance, seed=w.seed)
-    except ValueError:
-        return None
-    return stored if stored.couple == w.couple else None
-
-
 def mc_search(target: Couple, cfg: SamplerConfig) -> SearchOutcome:
-    """Sample root configurations matching the target order until one's
-    expansion carries the target sign pattern, or the budget runs out.
+    """Sample root configurations matching the target order until one
+    rounds to an exact witness of the target, or the budget runs out.
 
     Every draw respects the order by construction; rejection happens only
-    on coefficient signs.  The kernel `_scan(degree)` draws and
-    filters in floating point and stops at the first float hit; that hit
-    is re-validated exactly, and when the exact signs disagree (the float
-    filter lied near a sign boundary) the scan resumes at the next
-    iteration.  `Exhausted.sign_rejections` counts sign misses and float
-    lies, never a degenerate draw.  Outcomes are deterministically
-    reproducible from (cfg.seed, target).
+    on coefficient signs.  The kernel `_scan(degree)` draws and filters in
+    floating point and stops at the first float hit.  The hit's roots,
+    rounded to six decimals for compact storage, are expanded exactly once;
+    when they are no witness of the target (the float filter lied near a
+    sign boundary, or rounding zeroed a root, tied two moduli or made a
+    coefficient vanish or flip) the scan resumes at the next iteration.
+    Outcomes are deterministically reproducible from (cfg.seed, target).
     """
     if not is_compatible(target.sp, target.order):
         raise ValueError(f"incompatible couple {target}: sign counts do not match")
     rng = random.Random(derive_seed(cfg.seed, target))
     scan = _scan(target.sp.degree)
     units = tuple(1.0 if letter == "P" else -1.0 for letter in target.order.letters)
-    rejections = 0
     start = 0
     while True:
-        index, moduli, skipped = scan(rng.random, units, target.sp.signs, start, cfg.budget)
-        rejections += index - start - skipped
+        index, moduli = scan(rng.random, units, target.sp.signs, start, cfg.budget)
         if moduli is None:
-            return Exhausted(target, cfg.budget, rejections)
-        exact = RootConfiguration(tuple(Fraction(m * u) for m, u in zip(moduli, units)))
+            return Exhausted(target, cfg.budget)
+        roots = tuple(Fraction(format(m * u, ".6f")) for m, u in zip(moduli, units))
         provenance = f"mc-search(seed={cfg.seed},iteration={index + 1})"
         try:
-            witness = make_witness(exact, provenance, seed=cfg.seed)
-        except ValueError:  # an exact coefficient vanishes
-            witness = None
-        if witness is not None and witness.couple == target:
-            return Found(_rounded_witness(witness) or witness, index + 1)
-        rejections += 1  # the float filter lied near a sign boundary
+            witness = make_witness(RootConfiguration(roots), provenance, seed=cfg.seed)
+            if witness.couple == target:
+                return Found(witness, index + 1)
+        except ValueError:  # a zero root, a tie or a vanishing coefficient
+            pass
         start = index + 1
 
 
@@ -248,20 +227,6 @@ def transport(parent: Witness, g: str) -> Witness:
 # -------------------------------------------------------- staged witnessing
 
 
-def rigid_witness(order: ModuliOrder) -> Witness:
-    """Direct construction for a rigid order: moduli 1..d signed by the
-    order letters realize the order's unique sign pattern."""
-    sp = rigid_sign_pattern(order)  # raises if the order is not rigid
-    roots = tuple(
-        Fraction(k if letter == "P" else -k)
-        for k, letter in enumerate(order.letters, start=1)
-    )
-    w = make_witness(RootConfiguration(roots), "rigid-construction")
-    if w.couple != Couple(sp, order):
-        raise ValueError(f"rigid construction realized {w.couple}, expected ({sp}, {order})")
-    return w
-
-
 @cache
 def canonical_witness(sp: SignPattern) -> Witness:
     """Deterministic witness for (sp, canonical order of sp), built by
@@ -285,14 +250,11 @@ def canonical_witness(sp: SignPattern) -> Witness:
 
 
 def constructive_witness(couple: Couple) -> Witness | None:
-    """Direct construction from the two structural lemmas for a couple
-    whose order is its pattern's canonical order; these include each rigid
-    order with its one sign pattern.  None for every other couple, which
-    proves nothing."""
+    """`canonical_witness` for a couple whose order is its pattern's
+    canonical order; these include each rigid order with its one sign
+    pattern.  None for every other couple, which proves nothing."""
     if couple.order != canonical_order(couple.sp):
         return None
-    if is_rigid_order(couple.order):
-        return rigid_witness(couple.order)
     return canonical_witness(couple.sp)
 
 

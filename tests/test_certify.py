@@ -52,11 +52,11 @@ from hypmoduli.search import (
     Exhausted,
     SamplerConfig,
     constructive_witness,
-    rigid_witness,
 )
 from hypmoduli.symmetry import apply_im
 
 SEED = 20260823
+RIGID = Couple(SignPattern.parse("2,2,2,1"), ModuliOrder("PNPNPN"))
 
 
 def U(*u):
@@ -182,16 +182,65 @@ def test_forced_sign_on_tied_wall_bottom():
     assert verify_certificate(cert)
 
 
+def _monomial(ranks, sign):
+    return SignedMonomial(tuple(map(int, ranks)), sign)
+
+
+def _tampered_forced_sign():
+    """(defect, tampered copy, the verifier's message) for each check of
+    `verify_certificate` after the minority cover, on q_2 of PPPPPN: its
+    five positive monomials, those without μ6, are each matched to a
+    negative one with μ6.  Each copy passes every check before the one it
+    names.  No copy reaches the check for a strict pair with equal level
+    vectors: a matched pair has two signs, so two supports, so two level
+    vectors."""
+    cert = forced_sign(ModuliOrder("PPPPPN"), 2)
+    (m0, M0), (m1, M1), *middle, (m4, M4) = cert.matching
+    assert (m0, M0, m4) == (_monomial("1234", 1), _monomial("1236", -1), _monomial("2345", 1))
+    assert cert.strictness == ("strict-pair", (m0, M0))
+
+    def replaced(first, last=(m4, M4), strictness=cert.strictness):
+        return dataclasses.replace(
+            cert, matching=(first, (m1, M1), *middle, last), strictness=strictness
+        )
+
+    yield "a pair listed twice", dataclasses.replace(
+        cert, matching=cert.matching + cert.matching[:1]
+    ), "does not cover"
+    yield "one majority monomial twice", replaced((m0, M1)), "not injective"
+    yield "a monomial of q_3", replaced((m0, _monomial("123", -1))), "foreign monomial"
+    yield "a minority monomial matched as majority", replaced(
+        (m0, _monomial("1245", 1))
+    ), "does not carry the claimed majority sign"
+    # μ1μ4μ5μ6 is unmatched, and μ1 < μ2 fails the last comparison
+    yield "an undominating partner", replaced(
+        (m0, M0), last=(m4, _monomial("1456", -1))
+    ), "does not dominate"
+    yield "a strict pair outside the matching", replaced(
+        (m0, M0), strictness=("strict-pair", (m0, M1))
+    ), "not part of the matching"
+    yield "a matched term as surplus", replaced(
+        (m0, M0), strictness=("unmatched-majority", M0)
+    ), "not a surplus majority term"
+    yield "an unknown strictness kind", replaced(
+        (m0, M0), strictness=("strict", (m0, M0))
+    ), "unknown strictness kind"
+
+
 def test_verifier_rejects_tampered_certificates():
     cert = forced_sign(U(1, 1, 0, 1), 4)
-    with pytest.raises(CertificateError):
-        verify_certificate(dataclasses.replace(cert, sign=-cert.sign))
-    with pytest.raises(CertificateError):
-        verify_certificate(dataclasses.replace(cert, matching=cert.matching[1:]))
     m0, M0 = cert.matching[0]
-    swapped = ((M0, m0),) + cert.matching[1:]
-    with pytest.raises(CertificateError):
-        verify_certificate(dataclasses.replace(cert, matching=swapped))
+    for bad in (
+        dataclasses.replace(cert, sign=-cert.sign),
+        dataclasses.replace(cert, matching=cert.matching[1:]),
+        dataclasses.replace(cert, matching=((M0, m0),) + cert.matching[1:]),
+    ):
+        with pytest.raises(CertificateError, match="does not cover"):
+            verify_certificate(bad)
+    for defect, bad, message in _tampered_forced_sign():
+        with pytest.raises(CertificateError, match=message):
+            verify_certificate(bad)
+            pytest.fail(f"{defect} verified")
 
 
 def _plain_and_single_tie_orders(d):
@@ -476,6 +525,13 @@ def _tampered(cert):
     yield "unsigned coefficient", dataclasses.replace(
         cert, terms=((0, (0,) * len(mu0), Fraction(1)), *cert.terms)
     ), "carries no sign"
+    yield "a coefficient signed twice", dataclasses.replace(
+        cert, signs=(*cert.signs, cert.signs[0])
+    ), "exactly one sign"
+    (k0, s0), *rest = cert.signs
+    yield f"sign {2 * s0} on q_{k0}", dataclasses.replace(
+        cert, signs=((k0, 2 * s0), *rest)
+    ), "bad sign"
 
 
 def test_tampered_gap_certificates_are_rejected():
@@ -907,7 +963,7 @@ def test_decide_forced_sign(cfg, store):
 def test_contradiction_on_corrupt_store(cfg, store):
     killed = Couple(SignPattern.parse("2,1,2,2"), U(2, 1, 0, 0))
     corrupt = dict(store)
-    corrupt[killed] = rigid_witness(ModuliOrder("PNPNPN"))
+    corrupt[killed] = constructive_witness(RIGID)
     with pytest.raises(ContradictionError):
         classify_pattern(killed.sp, cfg, corrupt)
 
@@ -920,7 +976,7 @@ def test_stored_witness_contradiction_is_raised_before_monte_carlo(monkeypatch, 
     # 4,2,1 has orders only Monte Carlo decides; PNNNPN is sealed by frontier
     killed = Couple(SignPattern.parse("4,2,1"), ModuliOrder("PNNNPN"))
     corrupt = dict(store)
-    corrupt[killed] = rigid_witness(ModuliOrder("PNPNPN"))
+    corrupt[killed] = constructive_witness(RIGID)
     with pytest.raises(ContradictionError, match="PNNNPN.*frontier evidence"):
         settle(killed.sp, corrupt)
     with pytest.raises(ContradictionError, match="PNNNPN.*frontier evidence"):

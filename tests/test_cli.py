@@ -237,6 +237,13 @@ def test_search_budget_exhausted(capsys):
     assert "no witness found for (2,3,2, PPNNNN) within budget 500" in err
 
 
+def test_search_rejects_an_incompatible_couple(capsys):
+    # the pattern has three sign changes, so its orders hold three P
+    rc, out, err = run(capsys, "search", "--pattern", "3,1,2,1", "--order", "NNNNNN")
+    assert (rc, out) == (2, "")
+    assert err == "error: incompatible couple (3,1,2,1, NNNNNN)\n"
+
+
 @pytest.mark.parametrize(
     "pattern, order, evidence",
     [("2,2,2,1", "NNPPNP", "(forced-sign): q_1 forced negative on NNPPNP: ["),
@@ -330,6 +337,14 @@ def test_certify_full_scan(capsys):
     ks = [line.split()[0] for line in out.splitlines()]
     assert ks == ["q_0", "q_1", "q_3", "q_5"]
     assert "strict via" in out
+
+
+def test_certify_exits_1_on_sampled_violations(capsys, monkeypatch):
+    monkeypatch.setattr("hypmoduli.cli.sample_certificate", lambda cert, samples, seed: 3)
+    rc, out, err = run(capsys, "certify", "--order", "PNPPNN", "--samples", "10")
+    assert (rc, out) == (1, "")
+    assert err.startswith("CONTRADICTION: 3 sampled violations of q_0 forced negative on PNPPNN")
+    assert err.count("\n") == 1
 
 
 def test_certify_negative_samples_exit_2(capsys):

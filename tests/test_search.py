@@ -16,7 +16,6 @@ from hypmoduli.patterns import (
     canonical_order,
     compatible_orders,
     enumerate_patterns,
-    is_rigid_order,
 )
 from hypmoduli.published import published_witnesses
 from hypmoduli.search import (
@@ -28,7 +27,6 @@ from hypmoduli.search import (
     constructive_witness,
     derive_seed,
     mc_search,
-    rigid_witness,
     transport,
     witness_for,
 )
@@ -71,7 +69,6 @@ def test_mc_search_exhausts_on_non_realizable_couple():
     out = mc_search(target, SamplerConfig(seed=SEED, budget=3000))
     assert isinstance(out, Exhausted)
     assert out.couple == target and out.budget == 3000
-    assert 0 <= out.sign_rejections <= 3000
 
 
 def test_mc_search_rigid_order_hits_almost_immediately():
@@ -113,7 +110,7 @@ def test_mc_search_pinned_outcomes(sampler, comp, order, budget, iterations, exp
     out = mc_search(couple(comp, order), SamplerConfig(seed=SEED, budget=budget))
     if iterations is None:
         assert isinstance(out, Exhausted)
-        assert out.sign_rejections == expected
+        assert out.budget == expected
     else:
         assert isinstance(out, Found)
         assert out.iterations == iterations
@@ -134,7 +131,7 @@ def test_mc_search_outcomes_over_every_degree_6_couple():
                     found += 1
                     tail = f"{out.iterations}\t{out.witness.roots}"
                 else:
-                    tail = f"-\t{out.sign_rejections}"
+                    tail = f"-\t{out.budget}"
                 text.append(f"{sp}\t{order.letters}\t{tail}\n")
     assert len(text) == 924
     assert found == 240
@@ -171,9 +168,7 @@ def test_sign_filter_agrees_with_plain_expansion(d):
         hits += expected
         zeros += 0.0 in coeffs
         rand = iter(draws).__next__
-        index, found, skipped = scan(rand, units, signs, 0, 1)
-        assert skipped == 0
-        assert (index, found) == ((0, moduli) if expected else (1, None))
+        assert scan(rand, units, signs, 0, 1) == ((0, moduli) if expected else (1, None))
     assert hits > 0
     if d >= 3:  # two roots cannot cancel without sharing a modulus
         assert zeros > 0
@@ -188,11 +183,11 @@ def test_scan_skips_degenerate_draws_and_keeps_spread_parity():
         0.3, 0.3, 0.0, 0.0,  # iteration 1, spread by 10**0: a repeated modulus
         0.2, 0.1,            # iteration 2, plain: a hit
     ])
-    assert scan(rest.__next__, units, signs, 0, 10) == (2, [0.1, 0.2], 2)
+    assert scan(rest.__next__, units, signs, 0, 10) == (2, [0.1, 0.2])
     assert next(rest, None) is None
     # iteration 3 is spread whatever the iterations before it did
     rest = iter([0.1, 0.2, 0.0, 1.0])
-    assert scan(rest.__next__, units, signs, 3, 10) == (3, [0.1, 200.0], 0)
+    assert scan(rest.__next__, units, signs, 3, 10) == (3, [0.1, 200.0])
     assert next(rest, None) is None
 
 
@@ -208,8 +203,9 @@ def _script_mc_draws(monkeypatch, values):
     return rest
 
 
-def test_exhausted_counts_no_degenerate_draw(monkeypatch):
-    # (++-, NP) is a rigid order with another pattern: every draw misses
+def test_degenerate_draws_spend_their_iteration(monkeypatch):
+    # (++-, NP) is a rigid order with another pattern: every draw misses,
+    # and the budget counts the degenerate draws too
     rest = _script_mc_draws(monkeypatch, [
         0.0, 0.5,            # iteration 0, plain: skipped
         0.3, 0.3, 0.0, 0.0,  # iteration 1, spread: skipped
@@ -218,13 +214,14 @@ def test_exhausted_counts_no_degenerate_draw(monkeypatch):
         0.4, 0.7,            # iteration 4, plain: a sign miss
     ])
     out = mc_search(couple("2,1", "NP"), SamplerConfig(budget=5))
-    assert out == Exhausted(couple("2,1", "NP"), 5, 3)
+    assert out == Exhausted(couple("2,1", "NP"), 5)
     assert next(rest, None) is None
 
 
 def test_mc_search_resumes_after_a_float_lie(monkeypatch):
     # in floats the roots a, b, e, -c with c just above a + b + e carry
-    # + - - + -, but the exact x^3 coefficient vanishes
+    # + - - + -, but the exact x^3 coefficient vanishes, and that of their
+    # 6-decimal rounding is positive
     a, b, e, c = 0.39625196905577054, 0.6505543886775631, 0.7501694963351592, 1.7969758540684928
     rest = _script_mc_draws(monkeypatch, [
         a, b, e, c,                        # iteration 0, plain: the float lie
@@ -241,27 +238,40 @@ def test_mc_search_resumes_after_a_float_lie(monkeypatch):
     assert next(rest, None) is None
     # iteration 1 misses instead: x^4 + 0.3 x^3 + ... has the wrong x^3 sign
     _script_mc_draws(monkeypatch, [a, b, e, c, 0.9, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0])
-    assert mc_search(target, SamplerConfig(budget=2)) == Exhausted(target, 2, 2)
+    assert mc_search(target, SamplerConfig(budget=2)) == Exhausted(target, 2)
+
+
+def test_mc_search_rejects_a_hit_whose_rounding_is_no_witness(monkeypatch):
+    # roots +a, -b with a < b realize (++-, PN) exactly, but only the third
+    # hit keeps that couple at six decimals
+    rest = _script_mc_draws(monkeypatch, [
+        0.1000001, 0.1000002,          # iteration 0, plain: rounds to a tie
+        0.0000004, 0.5, 0.0, 0.0,      # iteration 1, spread by 10**0: rounds to a zero root
+        0.2, 0.5,                      # iteration 2, plain: a witness
+    ])
+    target = couple("2,1", "PN")
+    out = mc_search(target, SamplerConfig(budget=3))
+    assert isinstance(out, Found) and out.iterations == 3
+    assert out.witness.roots.roots == (Fraction(1, 5), Fraction(-1, 2))
+    assert next(rest, None) is None
 
 
 def _reference_hits(rng, d, units, signs, budget):
     # the kernel spelled out: plain and spread draws alternating by index,
     # a set for the degeneracy test, the plain expansion for the signs
     top = math.log10(1000.0)
-    hits, skipped = [], 0
+    hits = []
     for index in range(budget):
         moduli = [rng.random() for _ in range(d)]
         if index % 2:
             moduli = [m * 10 ** (top * rng.random()) for m in moduli]
         moduli.sort()
         if moduli[0] == 0.0 or len(set(moduli)) < d:
-            skipped += 1
             continue
         coeffs = _plain_expansion([m * u for m, u in zip(moduli, units)])
         if all(c != 0.0 and (c > 0) == (s > 0) for c, s in zip(coeffs, signs)):
-            hits.append((index, moduli, skipped))
-            skipped = 0
-    return hits, skipped
+            hits.append((index, moduli))
+    return hits
 
 
 def test_scan_resumes_where_a_full_scan_would():
@@ -269,16 +279,16 @@ def test_scan_resumes_where_a_full_scan_would():
     units = tuple(1.0 if letter == "P" else -1.0 for letter in target.order.letters)
     budget = 3000
     expected = _reference_hits(random.Random(5), 6, units, target.sp.signs, budget)
-    assert len(expected[0]) > 10
+    assert len(expected) > 10
     rng, scan = random.Random(5), search._scan(6)
     start, hits = 0, []
     while True:
-        index, moduli, skipped = scan(rng.random, units, target.sp.signs, start, budget)
+        index, moduli = scan(rng.random, units, target.sp.signs, start, budget)
         if moduli is None:
             break
-        hits.append((index, moduli, skipped))
+        hits.append((index, moduli))
         start = index + 1
-    assert (hits, skipped) == expected
+    assert hits == expected
     assert index == budget
 
 
@@ -316,7 +326,7 @@ def test_concatenate_positive_root():
 
 
 def test_concatenate_negative_root_repeats_last_sign():
-    parent = rigid_witness(ModuliOrder("PNPNP"))
+    parent = constructive_witness(couple("1,2,2,1", "PNPNP"))
     assert str(parent.couple.sp.composition()) == "1,2,2,1"
     child = concatenate(parent, "N")
     child.validate()
@@ -324,7 +334,7 @@ def test_concatenate_negative_root_repeats_last_sign():
 
 
 def test_concatenate_rejects_bad_sign():
-    parent = rigid_witness(ModuliOrder("PN"))
+    parent = constructive_witness(couple("2,1", "PN"))
     with pytest.raises(ValueError, match="root_sign"):
         concatenate(parent, "Q")
 
@@ -349,18 +359,9 @@ def test_transport_ir_inverts_roots():
 
 
 def test_transport_rejects_identity():
-    w = rigid_witness(ModuliOrder("PN"))
+    w = constructive_witness(couple("2,1", "PN"))
     with pytest.raises(ValueError):
         transport(w, "id")
-
-
-def test_rigid_witness_direct_construction():
-    w = rigid_witness(ModuliOrder("PNPNPN"))
-    w.validate()
-    assert w.couple == couple("2,2,2,1", "PNPNPN")
-    assert sorted(abs(r) for r in w.roots.roots) == [1, 2, 3, 4, 5, 6]
-    with pytest.raises(ValueError, match="not rigid"):
-        rigid_witness(ModuliOrder("PPNNPN"))
 
 
 def test_canonical_witness_chain():
@@ -382,9 +383,7 @@ def test_constructive_witness_builds_exactly_the_canonical_couples():
                         assert w is None, target
                         continue
                     w.validate()
-                    assert w.couple == target
-                    rigid = w.provenance == "rigid-construction"
-                    assert rigid == is_rigid_order(order), target
+                    assert w.couple == target and w == canonical_witness(sp)
 
 
 def test_witness_for_stage_store():
@@ -395,7 +394,7 @@ def test_witness_for_stage_store():
 
 def test_witness_for_stage_rigid_and_canonical():
     w = witness_for(couple("2,2,2,1", "PNPNPN"))
-    assert w is not None and w.provenance == "rigid-construction"
+    assert w is not None and w == canonical_witness(SignPattern.parse("2,2,2,1"))
     sp = SignPattern.parse("3,2,1,1")
     w = witness_for(Couple(sp, canonical_order(sp)))
     assert w is not None and w.provenance.startswith("concatenation(")
