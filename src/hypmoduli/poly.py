@@ -4,16 +4,22 @@ Root configurations are multisets of non-zero exact rationals
 (`fractions.Fraction`).  Expansion clears denominators and multiplies over
 `int` (`integer_product`), then divides by the leading coefficient, so the
 monic product of (x - r) comes out exactly.  The extractors read off the
-coefficient sign pattern and the order of root moduli.  Floating point
-never enters a validation path, so witness checks are bit-precise.
+coefficient sign pattern and the order of root moduli.  The order, tie,
+sign and polynomial checks read the integer numerators and denominators
+of the normalized rationals (moduli compare over a common denominator,
+stored coefficients by cross-multiplication), never `Fraction` operators.
+Floating point never enters a validation path, so witness checks are
+bit-precise.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .patterns import Couple, ModuliOrder, SignPattern
@@ -71,11 +77,20 @@ class RootConfiguration:
     roots: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not self.roots:
+        roots = self.roots
+        if not roots:
             raise ValueError("need at least one root")
-        if any(r == 0 for r in self.roots):
-            raise ValueError("zero roots are not allowed")
-        ordered = tuple(sorted(self.roots, key=lambda r: (abs(r), r)))
+        for r in roots:
+            if not isinstance(r, Rational):
+                raise ValueError(f"root {r!r} is not an exact rational")
+            if not r.numerator:
+                raise ValueError("zero roots are not allowed")
+        # |r| = |a|/b = |a| * (lcm // b) / lcm, so the integer key sorts
+        # exactly like (abs(r), r)
+        lcm = math.lcm(*(r.denominator for r in roots))
+        ordered = tuple(
+            sorted(roots, key=lambda r: (abs(r.numerator) * (lcm // r.denominator), r.numerator))
+        )
         object.__setattr__(self, "roots", ordered)
 
     @classmethod
@@ -125,44 +140,55 @@ def integer_product(pairs: Iterable[tuple[int, int]]) -> list[int]:
     return coeffs
 
 
+def _integer_expansion(rc: RootConfiguration) -> list[int]:
+    """`integer_product` of the configuration: each root r = a/b enters as
+    the integer factor (b*x - a), so coefficient k of the monic product is
+    the k-th entry over the first, which is positive."""
+    return integer_product((r.numerator, r.denominator) for r in rc.roots)
+
+
 def expand(rc: RootConfiguration) -> Polynomial:
-    """The exact monic product prod (x - r) over the configuration: each
-    root r = a/b enters as the integer factor (b*x - a)."""
-    coeffs = integer_product((r.numerator, r.denominator) for r in rc.roots)
+    """The exact monic product prod (x - r) over the configuration."""
+    coeffs = _integer_expansion(rc)
     lead = coeffs[0]
     return Polynomial(tuple(Fraction(c, lead) for c in coeffs))
+
+
+def _signs_of(numerators: Iterable[int]) -> tuple[int, ...]:
+    """Signs of coefficients, leading first, given their numerators over
+    positive denominators; raises ValueError naming a vanishing one."""
+    signs = tuple(1 if n > 0 else -1 if n else 0 for n in numerators)
+    if 0 in signs:
+        raise ValueError(f"vanishing coefficient of x^{len(signs) - 1 - signs.index(0)}")
+    return signs
 
 
 def sign_pattern_of(p: Polynomial) -> SignPattern:
     """Coefficient sign string; the monic leading coefficient gives the
     leading +."""
-    for i, c in enumerate(p.coefficients):
-        if c == 0:
-            raise ValueError(f"vanishing coefficient of x^{p.degree - i}")
-    return SignPattern(tuple(1 if c > 0 else -1 for c in p.coefficients))
+    return SignPattern(_signs_of(c.numerator for c in p.coefficients))
+
+
+def tied_pairs_of(rc: RootConfiguration) -> list[tuple[Fraction, Fraction]]:
+    """The pairs of equal-modulus roots (empty when moduli are distinct).
+
+    The roots are sorted by modulus and normalized, so two neighbours tie
+    exactly when their denominators and absolute numerators agree."""
+    ordered = rc.roots
+    return [
+        (a, b)
+        for a, b in zip(ordered, ordered[1:])
+        if a.denominator == b.denominator and abs(a.numerator) == abs(b.numerator)
+    ]
 
 
 def moduli_order_of(rc: RootConfiguration) -> ModuliOrder:
     """P/N letters of the roots in increasing modulus; raises
     `ModuliTieError` when two moduli coincide."""
-    ordered = rc.roots  # already sorted by (modulus, value)
-    ties = [
-        (ordered[i], ordered[i + 1])
-        for i in range(len(ordered) - 1)
-        if abs(ordered[i]) == abs(ordered[i + 1])
-    ]
+    ties = tied_pairs_of(rc)
     if ties:
         raise ModuliTieError(ties)
-    return ModuliOrder("".join("P" if r > 0 else "N" for r in ordered))
-
-
-def tied_pairs_of(rc: RootConfiguration) -> list[tuple[Fraction, Fraction]]:
-    """The pairs of equal-modulus roots (empty when moduli are distinct)."""
-    try:
-        moduli_order_of(rc)
-    except ModuliTieError as err:
-        return list(err.pairs)
-    return []
+    return ModuliOrder("".join("P" if r.numerator > 0 else "N" for r in rc.roots))
 
 
 def couple_of(rc: RootConfiguration) -> Couple:
@@ -232,11 +258,20 @@ class Witness:
     seed: int | None = None
 
     def validate(self) -> None:
-        if self.polynomial != expand(self.roots):
+        """Re-check the witness exactly on integers: each stored coefficient
+        n/m must equal q/lead of the integer expansion, n * lead == q * m,
+        the signs come from q, and the order and ties from the roots'
+        numerators and denominators.  No `Fraction` is built."""
+        coeffs = _integer_expansion(self.roots)
+        lead = coeffs[0]
+        stored = self.polynomial.coefficients
+        if len(stored) != len(coeffs) or any(
+            c.numerator * lead != q * c.denominator for c, q in zip(stored, coeffs)
+        ):
             raise WitnessError(f"stored polynomial is not the expansion of {self.roots}")
-        sp = sign_pattern_of(self.polynomial)
-        if sp != self.couple.sp:
-            raise WitnessError(f"expansion defines {sp}, claimed {self.couple.sp}")
+        signs = _signs_of(coeffs)
+        if signs != self.couple.sp.signs:
+            raise WitnessError(f"expansion defines {SignPattern(signs)}, claimed {self.couple.sp}")
         try:
             order = moduli_order_of(self.roots)
         except ModuliTieError as err:

@@ -190,12 +190,14 @@ def concatenate(parent: Witness, root_sign: str) -> Witness:
         SignPattern(parent.couple.sp.signs + (new_sign,)),
         ModuliOrder(root_sign + parent.couple.order.letters),
     )
-    eps = min(abs(r) for r in parent.roots.roots) / 2
+    roots = parent.roots.roots  # sorted by modulus
+    provenance = f"concatenation({parent.couple})"
+    eps = Fraction(abs(roots[0]), 2)
     for _ in range(_MAX_HALVINGS):
         root = eps if root_sign == "P" else -eps
-        rc = RootConfiguration(parent.roots.roots + (root,))
+        rc = RootConfiguration(roots + (root,))
         try:
-            child = make_witness(rc, f"concatenation({parent.couple})")
+            child = make_witness(rc, provenance)
             if child.couple == target:
                 return child
         except ValueError:

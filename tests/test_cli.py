@@ -1,8 +1,14 @@
 """End-to-end exercises of the command-line interface through main(argv)."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import hypmoduli
 
 from hypmoduli import certify, search
 from hypmoduli.certify import ContradictionError, Status, Verdict, refute
@@ -18,6 +24,17 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(hypmoduli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypmoduli", "canonical", "2,2,2,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, "canonical", "2,2,2,1")[1]
 
 
 # ------------------------------------------------------- informational

@@ -67,6 +67,15 @@ def test_root_configuration_rejects_zero():
         rc("1", "0", "2")
 
 
+def test_root_configuration_rejects_non_rational_roots():
+    with pytest.raises(ValueError, match=r"root 0\.5 is not an exact rational"):
+        RootConfiguration((0.5, Fraction(-1, 3), 2))
+    with pytest.raises(ValueError, match=r"root 'x' is not an exact rational"):
+        RootConfiguration((Fraction(1), "x"))
+    # ints are rationals and stay accepted
+    assert RootConfiguration((2, Fraction(-1, 3))).roots == (Fraction(-1, 3), 2)
+
+
 def naive_expand(roots):
     # independent oracle: elementary symmetric sums via explicit subsets
     d = len(roots)
@@ -157,6 +166,68 @@ def test_expand_matches_oracle_on_wide_denominators(roots):
     assert list(expand(c).coefficients) == naive_expand(list(c.roots))
 
 
+# Moduli for the integer-path property test: small ones built from
+# unreduced numerator/denominator pairs (2/4 next to -1/2), and wide
+# float-like denominators mixed in.
+_MODULI = st.one_of(
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    st.tuples(st.integers(1, 2**60), st.integers(2**50, 2**53)),
+)
+
+
+@st.composite
+def _roots_with_modulus_ties(draw):
+    """Up to six non-zero roots, some in +-pairs of equal modulus, each pair
+    entered once reduced and once scaled by a common factor; shuffled."""
+    roots = []
+    for n, d in draw(st.lists(_MODULI, min_size=1, max_size=4)):
+        k = draw(st.integers(1, 5))
+        kind = draw(st.sampled_from(["P", "N", "pair", "pair-int"]))
+        if kind == "P":
+            roots.append(Fraction(n * k, d * k))
+        elif kind == "N":
+            roots.append(Fraction(-n, d))
+        elif kind == "pair":
+            roots += [Fraction(n * k, d * k), Fraction(-n, d)]
+        else:  # an int next to an unreduced Fraction of the same modulus
+            roots += [-n, Fraction(n * k, k)]
+    return draw(st.permutations(roots[:6]))
+
+
+@given(_roots_with_modulus_ties())
+@settings(max_examples=300, deadline=None)
+def test_integer_path_matches_fraction_reference(roots):
+    """Sorting, ties, signs and witness validation read integer numerators
+    and denominators; they must agree with Fraction operators."""
+    config = RootConfiguration(tuple(roots))
+    reference = sorted(roots, key=lambda r: (abs(r), r))
+    assert list(config.roots) == reference
+    ties = [(a, b) for a, b in zip(reference, reference[1:]) if abs(a) == abs(b)]
+    assert tied_pairs_of(config) == ties
+    coeffs = naive_expand(reference)
+    poly = expand(config)
+    assert list(poly.coefficients) == coeffs
+    vanishing = any(c == 0 for c in coeffs)
+    if vanishing:
+        with pytest.raises(ValueError, match="vanishing coefficient"):
+            sign_pattern_of(poly)
+    else:
+        assert sign_pattern_of(poly).signs == tuple(1 if c > 0 else -1 for c in coeffs)
+    if ties:
+        with pytest.raises(ModuliTieError) as exc:
+            moduli_order_of(config)
+        assert list(exc.value.pairs) == ties
+    else:
+        assert moduli_order_of(config).letters == "".join("P" if r > 0 else "N" for r in reference)
+    if vanishing or ties:
+        with pytest.raises(ValueError):
+            make_witness(config, "property")
+    else:
+        w = make_witness(config, "property")
+        assert w.polynomial == poly
+        w.validate()
+
+
 def test_polynomial_must_be_monic():
     with pytest.raises(ValueError):
         Polynomial((Fraction(2), Fraction(1)))
@@ -235,6 +306,49 @@ def test_witness_validation_and_tampering():
         Couple(w.couple.sp, ModuliOrder("NNNNNN")), w.roots, w.polynomial, w.provenance
     )
     assert not wrong_couple.is_valid()
+    wrong_signs = Witness(
+        Couple(SignPattern.parse("++++++-"), w.couple.order), w.roots, w.polynomial, w.provenance
+    )
+    with pytest.raises(WitnessError, match=re.escape("expansion defines +++--+-, claimed ++++++-")):
+        wrong_signs.validate()
+
+
+def _with_polynomial(w, coefficients):
+    return Witness(w.couple, w.roots, Polynomial(tuple(coefficients)), w.provenance)
+
+
+def test_validate_rejects_a_missing_or_extra_coefficient():
+    """A cross-multiplied check over zip would stop at the shorter side."""
+    w = make_witness(rc("0.2", "1", "-1.5", "3.1", "-5", "-10"), "unit-test")
+    coeffs = w.polynomial.coefficients
+    for tampered in (coeffs[:-1], coeffs + (Fraction(1),), coeffs + (Fraction(0),)):
+        with pytest.raises(WitnessError, match="stored polynomial is not the expansion"):
+            _with_polynomial(w, tampered).validate()
+
+
+def test_validate_rejects_a_coefficient_off_by_half_a_unit():
+    w = make_witness(rc("0.2", "1", "-1.5", "3.1", "-5", "-10"), "unit-test")
+    lead = integer_product((r.numerator, r.denominator) for r in w.roots.roots)[0]
+    coeffs = list(w.polynomial.coefficients)
+    for i in range(1, len(coeffs)):
+        tampered = coeffs[:i] + [coeffs[i] + Fraction(1, 2 * lead)] + coeffs[i + 1 :]
+        with pytest.raises(WitnessError, match="stored polynomial is not the expansion"):
+            _with_polynomial(w, tampered).validate()
+
+
+def test_load_witnesses_names_the_line_of_a_short_coefficient_list(tmp_path):
+    path = tmp_path / "store.tsv"
+    append_witnesses(
+        path,
+        [make_witness(rc("1", "2"), "mc"), make_witness(rc("0.2", "1", "-1.5", "3.1", "-5", "-10"), "mc")],
+    )
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    assert len(fields[3].split(",")) == 7
+    fields[3] = ",".join(fields[3].split(",")[:6])
+    path.write_text("\n".join(lines[:2] + ["\t".join(fields)]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: stored polynomial is not the expansion")):
+        load_witnesses(path)
 
 
 def test_store_round_trip_and_last_write_wins(tmp_path):
