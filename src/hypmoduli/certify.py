@@ -31,7 +31,10 @@ witnesses, then Monte Carlo) on the orders still Unknown.  The
 only sampling here is `sample_certificate`, a soundness oracle over exact
 integer configurations that no verdict depends on; it draws and expands
 the configurations once per (order, samples, seed) and shares them across
-coefficients and claimed signs.
+coefficients and claimed signs.  It tallies through its own integer
+kernel, `_tally_kernel`, straight-line code generated once per level shape
+(the rank levels of an order, which ties merge), and its counts are pinned
+in the tests against a `Fraction` reference over the same draws.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .patterns import (
     rigid_sign_pattern,
     uvector_to_order,
 )
-from .poly import Witness, integer_product
+from .poly import Witness
 from .search import SamplerConfig, constructive_witness, witness_for
 from .symmetry import apply_im, im_representative
 
@@ -376,29 +379,64 @@ def verify_certificate(cert: ForcedSignCertificate) -> bool:
 
 
 @functools.cache
+def _tally_kernel(levels: tuple[int, ...]):
+    """The sampler's draw-expand-tally loop for one level shape, generated
+    once per shape as straight-line code over `int`.
+
+    `tally(sample, population, minus, samples)` runs `samples` iterations.
+    Each draws the values v1 < … < vL of the shape's L levels with one
+    `sorted(sample(population, L))` call.  The root at rank j is
+    r_j = −m_j with m_j = minus[j]·v_{levels[j]}; `minus` holds −1 for a
+    positive root and 1 for a negative one, so the shape fixes the code and
+    the letters are data.  The roots are multiplied in by rank, coefficient
+    k after root j being c[j−1][k] + m_j·c[j−1][k−1], and the sign of
+    every coefficient of the monic product is tallied.  Returns (positive,
+    negative) counts per coefficient, leading first; the leading
+    coefficient is 1.  Each kernel serves every order of its shape:
+    degree 6 has one plain shape and five single-tie shapes."""
+    d, n = len(levels), max(levels)
+    lines = [
+        "def tally(sample, population, minus, samples):",
+        f"    {''.join(f's{j}, ' for j in range(1, d + 1))}= minus",
+        f"    {' = '.join(f'p{k} = n{k}' for k in range(1, d + 1))} = 0",
+        "    for _ in range(samples):",
+        f"        {''.join(f'v{i}, ' for i in range(1, n + 1))}= sorted(sample(population, {n}))",
+        *(f"        m{j} = s{j} * v{lvl}" for j, lvl in enumerate(levels, start=1)),
+    ]
+    c = ["1", "m1"]  # c[k]: coefficient k after the roots so far
+    for j in range(2, d + 1):
+        lines.append(f"        c{j}_{j} = m{j} * {c[j - 1]}")
+        lines += (f"        c{j}_{k} = {c[k]} + m{j} * {c[k - 1]}" for k in range(j - 1, 1, -1))
+        lines.append(f"        c{j}_1 = {c[1]} + m{j}")
+        c = ["1"] + [f"c{j}_{k}" for k in range(1, j + 1)]
+    for k in range(1, d + 1):
+        lines += [
+            f"        if {c[k]} > 0:",
+            f"            p{k} += 1",
+            f"        elif {c[k]}:",
+            f"            n{k} += 1",
+        ]
+    pairs = ", ".join(f"(p{k}, n{k})" for k in range(1, d + 1))
+    lines.append(f"    return (samples, 0), {pairs}")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["tally"]
+
+
+@functools.cache
 def _sampled_sign_counts(
     order: ModuliOrder | TiedOrder, samples: int, seed: int
 ) -> tuple[tuple[int, int], ...]:
     """(positive, negative) sample counts per coefficient, leading first, of
-    `samples` random integer configurations respecting the order.  The draws
-    depend only on (levels, samples, seed) and the expansion on the order,
-    so every coefficient and claimed sign on one order shares them; each
-    entry holds d+1 pairs of ints whatever `samples` is."""
-    rng = random.Random(seed)
+    `samples` random integer configurations respecting the order, tallied
+    by the generated kernel `_tally_kernel` of the order's level shape.
+    The draws depend only on (levels, samples, seed) and the expansion on
+    the order, so every coefficient and claimed sign on one order shares
+    them; each entry holds d+1 pairs of ints whatever `samples` is."""
     levels = _rank_levels(order)
-    n_levels = max(levels)
-    signed_levels = [(lvl - 1, 1 if ch == "P" else -1) for lvl, ch in zip(levels, order.letters)]
-    positive = [0] * (order.degree + 1)
-    negative = [0] * (order.degree + 1)
-    for _ in range(samples):
-        values = sorted(rng.sample(range(1, 10 * n_levels + 1), n_levels))
-        q = integer_product((s * values[i], 1) for i, s in signed_levels)
-        for i, c in enumerate(q):
-            if c > 0:
-                positive[i] += 1
-            elif c < 0:
-                negative[i] += 1
-    return tuple(zip(positive, negative))
+    population = range(1, 10 * max(levels) + 1)
+    minus = tuple(-1 if ch == "P" else 1 for ch in order.letters)
+    return _tally_kernel(levels)(random.Random(seed).sample, population, minus, samples)
 
 
 def sample_certificate(
@@ -406,13 +444,15 @@ def sample_certificate(
 ) -> int:
     """Statistical soundness oracle: draw random integer moduli respecting
     the certificate's order (L distinct integers in 1..10L for its L
-    levels; tied ranks share one), expand the roots exactly over `int` with
-    `integer_product`, and count sign violations of q_k (zero expected):
-    samples where q_k is zero or has the sign opposite to the claim.
-    Configurations are drawn and expanded once per (order, samples, seed)
-    and shared across coefficients and claimed signs.  Independent of the
-    matching machinery.  Raises ValueError for negative `samples` or k
-    outside 0..d."""
+    levels; tied ranks share one), expand the roots exactly over `int`, and
+    count sign violations of q_k (zero expected): samples where q_k is zero
+    or has the sign opposite to the claim.  The expansion and the tally run
+    in the generated integer kernel of the order's level shape
+    (`_tally_kernel`), whose counts the tests pin against a `Fraction`
+    reference over the same draws.  Configurations are drawn and expanded
+    once per (order, samples, seed) and shared across coefficients and
+    claimed signs.  Independent of the matching machinery.  Raises
+    ValueError for negative `samples` or k outside 0..d."""
     if samples < 0:
         raise ValueError("samples must be non-negative")
     d = cert.order.degree

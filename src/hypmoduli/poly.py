@@ -127,7 +127,7 @@ class Polynomial:
 
 def integer_product(pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Coefficients, leading first, of prod (b*x - a) over integer pairs
-    (a, b): the one exact expansion loop."""
+    (a, b): the one exact expansion loop of witnesses."""
     coeffs = [1]
     for a, b in pairs:
         prev = 0

@@ -180,10 +180,21 @@ def concatenate(parent: Witness, root_sign: str) -> Witness:
     last sign.  eps starts at half the smallest parent modulus and halves,
     at most _MAX_HALVINGS times, until the exact expansion reproduces the
     parent's signs above the new constant term.
+
+    The parent is not re-validated: every caller passes a witness that
+    `make_witness` just built or that was validated on load.  Soundness
+    does not rest on it either, because the child is re-derived exactly by
+    `make_witness` and returned only when it realizes the target built
+    from the parent's claimed couple, and `witness_for` and
+    `canonical_witness` compare the child with their own target again.  So
+    a parent whose roots do not realize its claimed couple can make the
+    call fail, but never yields a child for a couple its roots do not
+    realize; a wrong claimed order matches no candidate at all, since the
+    new root has the smallest modulus and every candidate's order is the
+    new letter before the roots' own order.
     """
     if root_sign not in ("P", "N"):
         raise ValueError("root_sign must be 'P' or 'N'")
-    parent.validate()
     last = parent.couple.sp.signs[-1]
     new_sign = -last if root_sign == "P" else last
     target = Couple(

@@ -397,6 +397,45 @@ def test_sampler_tally_is_shared_across_coefficients_signs_and_calls():
         sample_certificate(cert, samples=-1, seed=SEED)
 
 
+def test_sampler_kernels_cover_every_level_shape():
+    """Every plain order of degrees 1-7, every single-tie order of degree 6
+    (all five tie shapes), and a double and a triple tie: for both claimed
+    signs and every k, at 0 and 1 samples and two seeds, each count equals
+    the `Fraction` reference."""
+    orders = [
+        ModuliOrder("".join(letters))
+        for d in range(1, 8)
+        for letters in itertools.product("PN", repeat=d)
+    ]
+    orders += list(_single_tie_orders(6))
+    orders += [TiedOrder("PNPN", (1, 3)), TiedOrder("PNPNPN", (1, 3, 5))]
+    certify._sampled_sign_counts.cache_clear()
+    for order in orders:
+        for k in range(order.degree + 1):
+            for sign in (1, -1):
+                cert = ForcedSignCertificate(order, k, sign, (), ("unmatched-majority", None))
+                for samples in (0, 1):
+                    for seed in (0, 7):
+                        expected = _fraction_violations(cert, samples, seed)
+                        got = sample_certificate(cert, samples=samples, seed=seed)
+                        assert got == expected, (order, k, sign, samples, seed)
+
+
+def test_sampler_builds_one_kernel_per_level_shape():
+    """Tallying the 224 orders of the benchmark's certificate corpus, the
+    64 plain degree-6 orders and the 160 single-tie wall orders, builds one
+    kernel per level shape: one plain and five single-tie shapes, never one
+    per order."""
+    orders = [ModuliOrder("".join(letters)) for letters in itertools.product("PN", repeat=6)]
+    orders += list(_single_tie_orders(6))
+    assert len(orders) == 224
+    certify._sampled_sign_counts.cache_clear()
+    certify._tally_kernel.cache_clear()
+    for order in orders:
+        certify._sampled_sign_counts(order, 10, SEED)
+    assert certify._tally_kernel.cache_info().currsize == 6
+
+
 def test_sampler_rejects_coefficient_index_out_of_range():
     for k in (-1, 7):
         cert = ForcedSignCertificate(ModuliOrder("PNPPNN"), k, 1, (), ("unmatched-majority", None))

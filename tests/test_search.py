@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -337,6 +338,28 @@ def test_concatenate_rejects_bad_sign():
     parent = constructive_witness(couple("2,1", "PN"))
     with pytest.raises(ValueError, match="root_sign"):
         concatenate(parent, "Q")
+
+
+def test_concatenate_on_a_tampered_parent_raises():
+    """`concatenate` does not re-validate its parent, yet a parent whose
+    claimed couple its roots do not realize never yields a child: every
+    other order of the true pattern, and every other pattern of the true
+    order, raises ValueError for both new root signs."""
+    parent = constructive_witness(couple("1,2,2,1", "PNPNP"))
+    sp, order = parent.couple.sp, parent.couple.order
+    claims = [Couple(sp, o) for o in compatible_orders(sp) if o != order]
+    claims += [
+        Couple(p, order)
+        for changes in range(6)
+        for p in enumerate_patterns(5, changes)
+        if p != sp and order in compatible_orders(p)
+    ]
+    assert len(claims) > 10
+    for claim in claims:
+        tampered = dataclasses.replace(parent, couple=claim)
+        for root_sign in "PN":
+            with pytest.raises(ValueError, match="epsilon underflow"):
+                concatenate(tampered, root_sign)
 
 
 def test_transport_im_and_involution():
