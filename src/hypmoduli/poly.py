@@ -2,14 +2,15 @@
 
 Root configurations are multisets of non-zero exact rationals
 (`fractions.Fraction`).  Expansion clears denominators and multiplies over
-`int` (`integer_product`), then divides by the leading coefficient, so the
-monic product of (x - r) comes out exactly.  The extractors read off the
-coefficient sign pattern and the order of root moduli.  The order, tie,
-sign and polynomial checks read the integer numerators and denominators
-of the normalized rationals (moduli compare over a common denominator,
-stored coefficients by cross-multiplication), never `Fraction` operators.
-Floating point never enters a validation path, so witness checks are
-bit-precise.
+`int` (`integer_product`); `couple_of` reads the couple the roots realize
+off that integer expansion (coefficient signs) and off the roots (order of
+moduli), and is the one derivation that builds and re-checks witnesses.
+A witness is its roots and its claim; the coefficient column of a stored
+record is cross-multiplied against the integer expansion once, when the
+store is loaded.  The order, tie, sign and coefficient checks read the
+integer numerators and denominators of the normalized rationals (moduli
+compare over a common denominator), never `Fraction` operators.  Floating
+point never enters a validation path, so witness checks are bit-precise.
 """
 
 from __future__ import annotations
@@ -105,26 +106,6 @@ class RootConfiguration:
         return "{" + ", ".join(format_exact(r) for r in self.roots) + "}"
 
 
-@dataclass(frozen=True, slots=True)
-class Polynomial:
-    """Monic polynomial with exact rational coefficients, leading first."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) < 2:
-            raise ValueError("need degree >= 1")
-        if self.coefficients[0] != 1:
-            raise ValueError("polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(format_exact(c) for c in self.coefficients) + "]"
-
-
 def integer_product(pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Coefficients, leading first, of prod (b*x - a) over integer pairs
     (a, b): the one exact expansion loop of witnesses."""
@@ -147,11 +128,12 @@ def _integer_expansion(rc: RootConfiguration) -> list[int]:
     return integer_product((r.numerator, r.denominator) for r in rc.roots)
 
 
-def expand(rc: RootConfiguration) -> Polynomial:
-    """The exact monic product prod (x - r) over the configuration."""
+def expand(rc: RootConfiguration) -> tuple[Fraction, ...]:
+    """Coefficients, leading first, of the exact monic product prod (x - r)
+    over the configuration; the leading one is 1."""
     coeffs = _integer_expansion(rc)
     lead = coeffs[0]
-    return Polynomial(tuple(Fraction(c, lead) for c in coeffs))
+    return tuple(Fraction(c, lead) for c in coeffs)
 
 
 def _signs_of(numerators: Iterable[int]) -> tuple[int, ...]:
@@ -161,12 +143,6 @@ def _signs_of(numerators: Iterable[int]) -> tuple[int, ...]:
     if 0 in signs:
         raise ValueError(f"vanishing coefficient of x^{len(signs) - 1 - signs.index(0)}")
     return signs
-
-
-def sign_pattern_of(p: Polynomial) -> SignPattern:
-    """Coefficient sign string; the monic leading coefficient gives the
-    leading +."""
-    return SignPattern(_signs_of(c.numerator for c in p.coefficients))
 
 
 def tied_pairs_of(rc: RootConfiguration) -> list[tuple[Fraction, Fraction]]:
@@ -192,9 +168,12 @@ def moduli_order_of(rc: RootConfiguration) -> ModuliOrder:
 
 
 def couple_of(rc: RootConfiguration) -> Couple:
-    """(sign pattern of the expansion, order of moduli); by the root-count
-    bookkeeping this couple is always compatible."""
-    return Couple(sign_pattern_of(expand(rc)), moduli_order_of(rc))
+    """The couple the roots realize: the signs of the integer expansion and
+    the order of moduli, the one exact derivation of a couple from roots.
+    Raises ValueError naming a vanishing coefficient, and `ModuliTieError`
+    on tied moduli.  By the root-count bookkeeping the couple is always
+    compatible."""
+    return Couple(SignPattern(_signs_of(_integer_expansion(rc))), moduli_order_of(rc))
 
 
 _MAX_HALVINGS = 64  # shrink factors 1 - 2^-k that `resolve_ties` tries
@@ -221,8 +200,9 @@ def resolve_ties(rc: RootConfiguration, target: Couple) -> RootConfiguration:
             )
         shrink.append(a if (a > 0) == (letter == "P") else b)
     if not shrink:
-        if couple_of(rc) != target:
-            raise ValueError(f"configuration realizes {couple_of(rc)}, not {target}")
+        realized = couple_of(rc)
+        if realized != target:
+            raise ValueError(f"configuration realizes {realized}, not {target}")
         return rc
     kept = list(rc.roots)
     for r in shrink:
@@ -244,8 +224,8 @@ class WitnessError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Witness:
-    """An exact realizability proof: roots whose expansion carries the
-    claimed sign pattern while the moduli carry the claimed order.
+    """An exact realizability proof: roots, and the couple they are claimed
+    to realize (the signs of their expansion and the order of their moduli).
 
     `seed` records the sampler seed of a Monte Carlo witness and of its
     symmetry transports; every other witness leaves it unset.
@@ -253,31 +233,21 @@ class Witness:
 
     couple: Couple
     roots: RootConfiguration
-    polynomial: Polynomial
     provenance: str
     seed: int | None = None
 
     def validate(self) -> None:
-        """Re-check the witness exactly on integers: each stored coefficient
-        n/m must equal q/lead of the integer expansion, n * lead == q * m,
-        the signs come from q, and the order and ties from the roots'
-        numerators and denominators.  No `Fraction` is built."""
-        coeffs = _integer_expansion(self.roots)
-        lead = coeffs[0]
-        stored = self.polynomial.coefficients
-        if len(stored) != len(coeffs) or any(
-            c.numerator * lead != q * c.denominator for c, q in zip(stored, coeffs)
-        ):
-            raise WitnessError(f"stored polynomial is not the expansion of {self.roots}")
-        signs = _signs_of(coeffs)
-        if signs != self.couple.sp.signs:
-            raise WitnessError(f"expansion defines {SignPattern(signs)}, claimed {self.couple.sp}")
+        """Re-derive the couple of the roots exactly (`couple_of`) and
+        compare it with the claim; every failure, a vanishing coefficient
+        or tied moduli included, raises `WitnessError`."""
         try:
-            order = moduli_order_of(self.roots)
-        except ModuliTieError as err:
+            realized = couple_of(self.roots)
+        except ValueError as err:
             raise WitnessError(str(err)) from err
-        if order != self.couple.order:
-            raise WitnessError(f"moduli define order {order}, claimed {self.couple.order}")
+        if realized.sp != self.couple.sp:
+            raise WitnessError(f"expansion defines {realized.sp}, claimed {self.couple.sp}")
+        if realized.order != self.couple.order:
+            raise WitnessError(f"moduli define order {realized.order}, claimed {self.couple.order}")
 
     def is_valid(self) -> bool:
         try:
@@ -288,10 +258,9 @@ class Witness:
 
 
 def make_witness(rc: RootConfiguration, provenance: str, seed: int | None = None) -> Witness:
-    """Build a validated witness for whatever couple the roots realize."""
-    poly = expand(rc)
-    couple = Couple(sign_pattern_of(poly), moduli_order_of(rc))
-    return Witness(couple, rc, poly, provenance, seed)
+    """The witness of whatever couple the roots realize (`couple_of`);
+    raises ValueError as `couple_of` does."""
+    return Witness(couple_of(rc), rc, provenance, seed)
 
 
 # ----------------------------------------------------------------- store IO
@@ -305,7 +274,7 @@ def _witness_line(w: Witness) -> str:
             str(w.couple.sp),
             w.couple.order.letters,
             ",".join(format_exact(r) for r in w.roots.roots),
-            ",".join(format_exact(c) for c in w.polynomial.coefficients),
+            ",".join(format_exact(c) for c in expand(w.roots)),
             w.provenance,
             "-" if w.seed is None else str(w.seed),
         ]
@@ -313,15 +282,24 @@ def _witness_line(w: Witness) -> str:
 
 
 def _parse_witness_line(line: str) -> Witness:
+    """One record; its coefficient column must be the monic expansion of
+    its roots, n/m == q/lead checked as n * lead == q * m over the integer
+    expansion q.  The claim itself is left to `Witness.validate`."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 6:
         raise ValueError(f"malformed witness record: {line!r}")
     sp_text, order_text, roots_text, coeff_text, provenance, seed_text = parts
     couple = Couple(SignPattern.parse(sp_text), ModuliOrder.parse(order_text))
     roots = RootConfiguration.parse(roots_text.split(","))
-    coeffs = tuple(parse_exact(t) for t in coeff_text.split(","))
+    stored = [parse_exact(t) for t in coeff_text.split(",")]
+    coeffs = _integer_expansion(roots)
+    lead = coeffs[0]
+    if len(stored) != len(coeffs) or any(
+        c.numerator * lead != q * c.denominator for c, q in zip(stored, coeffs)
+    ):
+        raise WitnessError(f"stored polynomial is not the expansion of {roots}")
     seed = None if seed_text == "-" else int(seed_text)
-    return Witness(couple, roots, Polynomial(coeffs), provenance, seed)
+    return Witness(couple, roots, provenance, seed)
 
 
 def append_witnesses(path, witnesses: Iterable[Witness]) -> None:
@@ -350,7 +328,8 @@ def append_witnesses(path, witnesses: Iterable[Witness]) -> None:
 
 
 def load_witnesses(path) -> list[Witness]:
-    """Read a store, re-validating every record exactly; later records win
+    """Read a store, checking each coefficient column against its roots and
+    re-validating every claim exactly; later records win
     per (couple, provenance) key.  A malformed or invalid record raises
     ValueError naming path:line."""
     with open(path, encoding="utf-8") as fh:

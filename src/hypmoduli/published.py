@@ -10,11 +10,11 @@ the loader resolves those ties exactly before validating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 from .patterns import Couple, ModuliOrder, SignPattern
 from .poly import (
-    Polynomial,
     RootConfiguration,
     Witness,
     expand,
@@ -72,7 +72,7 @@ class PublishedRow:
     def configuration(self) -> RootConfiguration:
         return RootConfiguration.parse(self.root_texts)
 
-    def exact_expansion(self) -> Polynomial:
+    def exact_expansion(self) -> tuple[Fraction, ...]:
         return expand(self.configuration())
 
     def has_tied_moduli(self) -> bool:
@@ -94,7 +94,7 @@ def published_witnesses() -> tuple[Witness, ...]:
     out = []
     for row in published_rows():
         rc = row.configuration()
-        if row.has_tied_moduli():
+        if tied_pairs_of(rc):
             rc = resolve_ties(rc, row.couple)
         w = make_witness(rc, PUBLISHED_PROVENANCE)
         if w.couple != row.couple:

@@ -394,10 +394,9 @@ def verify_paper() -> PaperReport:
     Mismatches are report content — they flag print typos, not failures."""
     rows = []
     for row in published_rows():
-        poly = row.exact_expansion()
         checks = tuple(
             CoefficientCheck(5 - i, printed, value, _compare_printed(printed, value))
-            for i, (printed, value) in enumerate(zip(row.printed_tail, poly.coefficients[1:]))
+            for i, (printed, value) in enumerate(zip(row.printed_tail, row.exact_expansion()[1:]))
         )
         rc = row.configuration()
         tied = bool(tied_pairs_of(rc))

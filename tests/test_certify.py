@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -44,7 +45,7 @@ from hypmoduli.patterns import (
     order_to_uvector,
     uvector_to_order,
 )
-from hypmoduli.poly import RootConfiguration, expand
+from hypmoduli.poly import RootConfiguration, Witness, WitnessError, expand
 from hypmoduli import search
 from hypmoduli.published import published_witnesses
 from hypmoduli.results import builtin_table
@@ -336,7 +337,7 @@ def _fraction_violations(cert, samples, seed):
             Fraction(values[lvl - 1] if ch == "P" else -values[lvl - 1])
             for lvl, ch in zip(levels, cert.order.letters)
         )
-        q_k = expand(RootConfiguration(roots)).coefficients[d - cert.k]
+        q_k = expand(RootConfiguration(roots))[d - cert.k]
         violations += q_k * cert.sign <= 0
     return violations
 
@@ -527,7 +528,7 @@ def test_gap_certificates_hold_on_exact_configurations():
                 Fraction(values[lvl - 1] if ch == "P" else -values[lvl - 1])
                 for lvl, ch in zip(levels, tied.letters)
             )
-            coeffs = expand(RootConfiguration(roots)).coefficients
+            coeffs = expand(RootConfiguration(roots))
             carried = [k for k, sign in cert.signs if coeffs[d - k] * sign > 0]
             assert len(carried) < len(cert.signs), (tied, roots)
             seen.update(carried)
@@ -1020,6 +1021,23 @@ def test_stored_witness_contradiction_is_raised_before_monte_carlo(monkeypatch, 
         settle(killed.sp, corrupt)
     with pytest.raises(ContradictionError, match="PNNNPN.*frontier evidence"):
         classify_pattern(killed.sp, cfg, corrupt)
+
+
+def test_a_stored_claim_with_a_vanishing_coefficient_or_a_tie_is_ignored():
+    """Both records fail `validate` with a `WitnessError`, so `settle` treats
+    them as no witness instead of crashing the sweep."""
+    claim = Couple(SignPattern.parse("2,2,1"), ModuliOrder("NPNP"))
+    no_store = settle(claim.sp)
+    assert no_store[claim.order].status is Status.NON_REALIZABLE
+    # 1 + 2 + 4 - 7 = 0: the x^3 coefficient vanishes
+    vanishing = Witness(claim, RootConfiguration((1, 2, 4, -7)), "x")
+    # x^4 + x^3 - 11x^2 - 9x + 18 carries the claimed signs, but |3| = |-3|
+    tied = Witness(claim, RootConfiguration((1, -2, 3, -3)), "x")
+    for w, message in ((vanishing, "vanishing coefficient of x^3"), (tied, "tie between moduli")):
+        assert not w.is_valid()
+        with pytest.raises(WitnessError, match=re.escape(message)):
+            w.validate()
+        assert settle(claim.sp, {claim: w}) == no_store
 
 
 def test_stored_witnesses_check_exclusion_verdicts(monkeypatch, store):

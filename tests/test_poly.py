@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from hypmoduli.patterns import Couple, ModuliOrder, SignPattern
 from hypmoduli.poly import (
     ModuliTieError,
-    Polynomial,
     RootConfiguration,
     Witness,
     WitnessError,
+    _integer_expansion,
+    _signs_of,
+    _witness_line,
     append_witnesses,
     couple_of,
     expand,
@@ -23,9 +25,10 @@ from hypmoduli.poly import (
     moduli_order_of,
     parse_exact,
     resolve_ties,
-    sign_pattern_of,
     tied_pairs_of,
 )
+from hypmoduli.published import published_witnesses
+from hypmoduli.search import canonical_witness
 
 
 def rc(*texts):
@@ -94,7 +97,7 @@ def naive_expand(roots):
 def test_expand_published_row():
     c = rc("0.2", "1", "-1", "3.1", "-5", "-10")
     p = expand(c)
-    assert [format_exact(x) for x in p.coefficients] == [
+    assert [format_exact(x) for x in p] == [
         "1", "11.7", "0.12", "-167.4", "29.88", "155.7", "-31",
     ]
 
@@ -102,7 +105,7 @@ def test_expand_published_row():
 def test_expand_golden_with_tied_moduli():
     c = rc("-4", "5", "6", "-8.74", "-9.41", "9.59")
     p = expand(c)
-    assert [format_exact(x) for x in p.coefficients] == [
+    assert [format_exact(x) for x in p] == [
         "1", "1.56", "-165.7351", "-145.848506", "7833.610842", "24.186884", "-94645.70472",
     ]
 
@@ -117,7 +120,7 @@ def test_expand_golden_with_tied_moduli():
 @settings(max_examples=200, deadline=None)
 def test_expand_matches_symmetric_function_oracle(roots):
     c = RootConfiguration(tuple(roots))
-    assert list(expand(c).coefficients) == naive_expand(list(c.roots))
+    assert list(expand(c)) == naive_expand(list(c.roots))
 
 
 def _fraction_product(pairs):
@@ -163,7 +166,7 @@ def test_expand_matches_oracle_on_wide_denominators(roots):
     """Float-derived MC witnesses carry denominators near 2^52; the integer
     expansion must clear and restore them exactly."""
     c = RootConfiguration(tuple(roots))
-    assert list(expand(c).coefficients) == naive_expand(list(c.roots))
+    assert list(expand(c)) == naive_expand(list(c.roots))
 
 
 # Moduli for the integer-path property test: small ones built from
@@ -205,14 +208,16 @@ def test_integer_path_matches_fraction_reference(roots):
     ties = [(a, b) for a, b in zip(reference, reference[1:]) if abs(a) == abs(b)]
     assert tied_pairs_of(config) == ties
     coeffs = naive_expand(reference)
-    poly = expand(config)
-    assert list(poly.coefficients) == coeffs
+    assert list(expand(config)) == coeffs
     vanishing = any(c == 0 for c in coeffs)
     if vanishing:
         with pytest.raises(ValueError, match="vanishing coefficient"):
-            sign_pattern_of(poly)
+            couple_of(config)
     else:
-        assert sign_pattern_of(poly).signs == tuple(1 if c > 0 else -1 for c in coeffs)
+        signs = tuple(1 if c > 0 else -1 for c in coeffs)
+        assert _signs_of(_integer_expansion(config)) == signs
+        if not ties:
+            assert couple_of(config).sp.signs == signs
     if ties:
         with pytest.raises(ModuliTieError) as exc:
             moduli_order_of(config)
@@ -224,22 +229,19 @@ def test_integer_path_matches_fraction_reference(roots):
             make_witness(config, "property")
     else:
         w = make_witness(config, "property")
-        assert w.polynomial == poly
+        assert w.roots == config and w.couple == couple_of(config)
+        assert _witness_line(w).split("\t")[3] == ",".join(map(format_exact, coeffs))
         w.validate()
 
 
-def test_polynomial_must_be_monic():
-    with pytest.raises(ValueError):
-        Polynomial((Fraction(2), Fraction(1)))
-    with pytest.raises(ValueError):
-        Polynomial((Fraction(1),))
-
-
-def test_sign_pattern_of_normalizes_and_detects_zero():
-    assert str(sign_pattern_of(expand(rc("0.2", "1", "-1", "3.1", "-5", "-10"))).composition()) == "3,1,2,1"
+def test_couple_of_signs_normalize_and_detect_zero():
+    # moduli 1 and -1 tie, so the signs are read off the integer expansion
+    tied = rc("0.2", "1", "-1", "3.1", "-5", "-10")
+    assert str(SignPattern(_signs_of(_integer_expansion(tied))).composition()) == "3,1,2,1"
+    assert str(couple_of(rc("0.2", "1", "-1.5", "3.1", "-5", "-10")).sp.composition()) == "3,2,1,1"
     # (x-1)(x+1) = x^2 - 1 has a vanishing middle coefficient
     with pytest.raises(ValueError, match="vanishing coefficient"):
-        sign_pattern_of(expand(rc("1", "-1")))
+        couple_of(rc("1", "-1"))
 
 
 def test_moduli_order_and_ties():
@@ -299,41 +301,66 @@ def test_witness_validation_and_tampering():
     w = make_witness(c, "unit-test")
     w.validate()
     assert w.is_valid()
-    bad = Witness(w.couple, w.roots, expand(rc("1", "2", "3", "-4", "5", "-6")), w.provenance)
+    bad = Witness(w.couple, rc("1", "2", "3", "-4", "5", "-6"), w.provenance)
     with pytest.raises(WitnessError):
         bad.validate()
-    wrong_couple = Witness(
-        Couple(w.couple.sp, ModuliOrder("NNNNNN")), w.roots, w.polynomial, w.provenance
-    )
+    wrong_couple = Witness(Couple(w.couple.sp, ModuliOrder("NNNNNN")), w.roots, w.provenance)
     assert not wrong_couple.is_valid()
-    wrong_signs = Witness(
-        Couple(SignPattern.parse("++++++-"), w.couple.order), w.roots, w.polynomial, w.provenance
-    )
+    wrong_signs = Witness(Couple(SignPattern.parse("++++++-"), w.couple.order), w.roots, w.provenance)
     with pytest.raises(WitnessError, match=re.escape("expansion defines +++--+-, claimed ++++++-")):
         wrong_signs.validate()
 
 
-def _with_polynomial(w, coefficients):
-    return Witness(w.couple, w.roots, Polynomial(tuple(coefficients)), w.provenance)
+def _load_with_coefficients(path, w, coefficients):
+    """Load a one-record store of `w` whose coefficient column is replaced."""
+    fields = _witness_line(w).split("\t")
+    fields[3] = ",".join(format_exact(c) for c in coefficients)
+    path.write_text("hypmoduli-witness-store v1\n" + "\t".join(fields) + "\n")
+    return load_witnesses(path)
 
 
-def test_validate_rejects_a_missing_or_extra_coefficient():
-    """A cross-multiplied check over zip would stop at the shorter side."""
+def test_validate_rejects_a_missing_or_extra_coefficient(tmp_path):
+    """A cross-multiplied check over zip would stop at the shorter side; a
+    column with a leading 2 is not the monic expansion."""
+    path = tmp_path / "store.tsv"
     w = make_witness(rc("0.2", "1", "-1.5", "3.1", "-5", "-10"), "unit-test")
-    coeffs = w.polynomial.coefficients
-    for tampered in (coeffs[:-1], coeffs + (Fraction(1),), coeffs + (Fraction(0),)):
-        with pytest.raises(WitnessError, match="stored polynomial is not the expansion"):
-            _with_polynomial(w, tampered).validate()
+    coeffs = expand(w.roots)
+    assert _load_with_coefficients(path, w, coeffs) == [w]
+    for tampered in (
+        coeffs[:-1],
+        coeffs + (Fraction(1),),
+        coeffs + (Fraction(0),),
+        (Fraction(2),) + coeffs[1:],
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: stored polynomial is not the expansion")):
+            _load_with_coefficients(path, w, tampered)
 
 
-def test_validate_rejects_a_coefficient_off_by_half_a_unit():
+def test_validate_rejects_a_coefficient_off_by_half_a_unit(tmp_path):
+    path = tmp_path / "store.tsv"
     w = make_witness(rc("0.2", "1", "-1.5", "3.1", "-5", "-10"), "unit-test")
     lead = integer_product((r.numerator, r.denominator) for r in w.roots.roots)[0]
-    coeffs = list(w.polynomial.coefficients)
+    coeffs = list(expand(w.roots))
     for i in range(1, len(coeffs)):
         tampered = coeffs[:i] + [coeffs[i] + Fraction(1, 2 * lead)] + coeffs[i + 1 :]
-        with pytest.raises(WitnessError, match="stored polynomial is not the expansion"):
-            _with_polynomial(w, tampered).validate()
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: stored polynomial is not the expansion")):
+            _load_with_coefficients(path, w, tampered)
+
+
+def test_store_lines_are_pinned():
+    """The coefficient column is written from the expansion of the roots."""
+    assert _witness_line(published_witnesses()[0]) == (
+        "+++-++-\tPPPNNN\t0.39,0.4,0.984375,-1,-1.01,-9\t"
+        "1,9.235625,0.4977875,-14.6745696875,0.0130425,5.5538915625,-1.395883125\t"
+        "published-example\t-"
+    )
+    chain = canonical_witness(SignPattern.parse("2,2,2,1"))
+    assert chain.couple.order == ModuliOrder("PNPNPN")
+    assert _witness_line(chain) == (
+        "++--++-\tPNPNPN\t0.03125,-0.0625,0.125,-0.25,0.5,-1\t"
+        "1,0.65625,-0.451171875,-0.093994140625,0.01409912109375,0.000640869140625,"
+        "-0.000030517578125\tconcatenation((2,2,2, NPNPN))\t-"
+    )
 
 
 def test_load_witnesses_names_the_line_of_a_short_coefficient_list(tmp_path):

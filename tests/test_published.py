@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from hypmoduli.patterns import Couple, ModuliOrder, SignPattern
-from hypmoduli.poly import format_exact, parse_exact
+from hypmoduli.poly import couple_of, format_exact, parse_exact
 from hypmoduli.published import (
     PUBLISHED_PROVENANCE,
     published_rows,
@@ -29,10 +29,10 @@ def test_tied_rows_are_the_unit_modulus_ones():
 
 def test_every_row_expands_to_its_claimed_sign_pattern():
     for row in published_rows():
-        got = row.exact_expansion()
-        from hypmoduli.poly import sign_pattern_of
-
-        assert str(sign_pattern_of(got).composition()) == row.composition
+        signs = SignPattern(tuple((c > 0) - (c < 0) for c in row.exact_expansion()))
+        assert str(signs.composition()) == row.composition
+        if not row.has_tied_moduli():
+            assert couple_of(row.configuration()).sp == signs
 
 
 def test_witnesses_validate_and_cover_all_claimed_couples():
@@ -50,9 +50,9 @@ def test_untied_rows_expand_to_printed_values_exactly():
     # printed precision); the PPNPNN and NPPNNP rows are even digit-exact
     by_key = {(r.composition, r.order): r for r in published_rows()}
     row = by_key[("3,1,2,1", "PPNPNN")]
-    assert [format_exact(c) for c in row.exact_expansion().coefficients[1:]] == list(row.printed_tail)
+    assert [format_exact(c) for c in row.exact_expansion()[1:]] == list(row.printed_tail)
     row = by_key[("2,2,2,1", "NPPNNP")]
-    assert [format_exact(c) for c in row.exact_expansion().coefficients[1:]] == list(row.printed_tail)
+    assert [format_exact(c) for c in row.exact_expansion()[1:]] == list(row.printed_tail)
 
 
 def test_resolved_ties_keep_roots_close_to_printed():

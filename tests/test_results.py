@@ -270,7 +270,7 @@ def test_first_row_printed_line_matches_other_roots():
 
     rc = RootConfiguration.parse(["0.39", "0.4", "1", "-1", "-1.02", "-8"])
     printed = ["8.23", "0.1902", "-13.26928", "0.08276", "5.03928", "-1.27296"]
-    assert [format_exact(c) for c in expand(rc).coefficients[1:]] == printed
+    assert [format_exact(c) for c in expand(rc)[1:]] == printed
 
 
 def test_report_renders_summary_line(paper_report):
