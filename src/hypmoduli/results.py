@@ -28,7 +28,7 @@ from .patterns import (
     order_to_uvector,
     uvector_to_order,
 )
-from .poly import couple_of, format_exact, parse_exact, resolve_ties, tied_pairs_of
+from .poly import couple_of, expand, format_exact, parse_exact, resolve_ties, tied_pairs_of
 from .published import PublishedRow, published_rows, published_witnesses
 from .search import SamplerConfig
 from .symmetry import GROUP_ELEMENTS, apply_group, orbits
@@ -394,11 +394,11 @@ def verify_paper() -> PaperReport:
     Mismatches are report content — they flag print typos, not failures."""
     rows = []
     for row in published_rows():
+        rc = row.configuration()
         checks = tuple(
             CoefficientCheck(5 - i, printed, value, _compare_printed(printed, value))
-            for i, (printed, value) in enumerate(zip(row.printed_tail, row.exact_expansion()[1:]))
+            for i, (printed, value) in enumerate(zip(row.printed_tail, expand(rc)[1:]))
         )
-        rc = row.configuration()
         tied = bool(tied_pairs_of(rc))
         if tied:
             rc = resolve_ties(rc, row.couple)

@@ -72,7 +72,7 @@ def _(couple: Couple) -> Couple:
 
 def im_representative(x):
     """The member of {x, im x} whose text comes first: the one rule by which
-    an im-pair shares forced-sign certificates and Monte Carlo searches."""
+    an im-pair shares Monte Carlo searches."""
     return min(x, apply_im(x), key=str)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -17,12 +18,10 @@ from hypmoduli.certify import (
     ForcedSignCertificate,
     FrontierEvidence,
     GapCertificate,
-    SignedMonomial,
     Status,
     TiedOrder,
     Verdict,
     classify_pattern,
-    coefficient_monomials,
     contradicting_certificate,
     forced_sign,
     frontier_exclusion,
@@ -45,7 +44,7 @@ from hypmoduli.patterns import (
     order_to_uvector,
     uvector_to_order,
 )
-from hypmoduli.poly import RootConfiguration, Witness, WitnessError, expand
+from hypmoduli.poly import RootConfiguration, Witness, WitnessError, expand, integer_product
 from hypmoduli import search
 from hypmoduli.published import published_witnesses
 from hypmoduli.results import builtin_table
@@ -100,40 +99,88 @@ def test_wall_between_neighbours():
         TiedOrder.wall(U(0, 0, 3, 0), U(0, 2, 1, 0))  # two transpositions apart
 
 
-# ------------------------------------------------------------ monomial census
+# ------------------------------------------------------------ gap expansion
+
+
+def _form(order, k):
+    """The nonzero coefficients of q_k in the gap variables, keyed by
+    exponent vector."""
+    return {
+        certify._exponents(key, order): c
+        for key, c in certify._gap_coefficients(order)[k].items()
+        if c
+    }
 
 
 def test_top_coefficient_monomials():
-    census = coefficient_monomials(5, ModuliOrder("PNPNPN"))
-    assert [(m.support, m.sign) for m in census] == [
-        ((1,), -1), ((2,), 1), ((3,), -1), ((4,), 1), ((5,), -1), ((6,), 1)
-    ]
+    # q_5 = -(μ1 - μ2 + μ3 - μ4 + μ5 - μ6) = s_1 + s_3 + s_5
+    assert _form(ModuliOrder("PNPNPN"), 5) == {
+        (0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0): 1, (0, 0, 0, 0, 0, 1): 1
+    }
 
 
 def test_constant_coefficient_single_monomial():
-    (m,) = coefficient_monomials(0, U(1, 1, 0, 1))
-    assert m.support == (1, 2, 3, 4, 5, 6)
-    assert m.sign == -1  # three positive roots
+    # q_0 = -μ1μ2…μ6 (three positive roots), μ_i = s_0 + … + s_{i-1}: the
+    # product has the Catalan number C_6 of monomials, all negative, and
+    # its value at unit gaps is -6!
+    form = _form(U(1, 1, 0, 1), 0)
+    assert len(form) == 132
+    assert form[(6, 0, 0, 0, 0, 0)] == -1
+    assert all(c < 0 for c in form.values())
+    assert sum(form.values()) == -720
 
 
 def test_census_balance_for_pair_coefficient():
-    census = coefficient_monomials(4, U(1, 1, 0, 1))  # NPNPPN
-    assert len(census) == 15
-    assert sum(m.sign > 0 for m in census) == 6
-    assert sum(m.sign < 0 for m in census) == 9
+    # among the 15 modulus monomials of q_4 on NPNPPN, 6 are positive and 9
+    # negative; in the gaps every coefficient is negative, and at unit gaps
+    # (moduli 1..6) the form is the second elementary symmetric function
+    order = U(1, 1, 0, 1)
+    assert order.letters == "NPNPPN"
+    roots = [i if ch == "P" else -i for i, ch in enumerate(order.letters, start=1)]
+    products = [a * b for a, b in itertools.combinations(roots, 2)]
+    assert (sum(p > 0 for p in products), sum(p < 0 for p in products)) == (6, 9)
+    form = _form(order, 4)
+    assert form and all(c < 0 for c in form.values())
+    assert sum(form.values()) == sum(products)
 
 
 def test_tied_census_drops_cancelling_monomials():
-    tied = TiedOrder("PPNNNP", (5,))
-    census = coefficient_monomials(4, tied)
-    # pairs touching exactly one of the tied ranks 5, 6 cancel: 15 - 8 = 7
-    assert len(census) == 7
-    assert all(len(set(m.support) & {5, 6}) != 1 for m in census)
+    # on PPNNN=P the tied pair's cross terms cancel: the tied forms are the
+    # untied forms with the gap s_5 between ranks 5 and 6 set to zero, in
+    # one gap variable fewer
+    tied, plain = TiedOrder("PPNNNP", (5,)), ModuliOrder("PPNNNP")
+    for k in range(7):
+        at_zero_gap = Counter()
+        for mu, c in _form(plain, k).items():
+            if mu[5] == 0:
+                at_zero_gap[mu[:5]] += c
+        assert _form(tied, k) == {mu: c for mu, c in at_zero_gap.items() if c}, k
 
 
-def test_invalid_census_requests():
-    with pytest.raises(ValueError):
-        coefficient_monomials(7, ModuliOrder("PNPNPN"))
+def test_gap_expansion_matches_the_root_expansion():
+    """Each form of every degree-6 plain and single-tie order, evaluated at
+    random positive integer gaps, equals the coefficient `integer_product`
+    gives for the roots those gaps place."""
+    rng = random.Random(SEED)
+    base = 7
+    for order in _plain_and_single_tie_orders(6):
+        levels = certify._rank_levels(order)
+        forms = certify._gap_coefficients(order)
+        for _ in range(3):
+            gaps = [rng.randint(1, 20) for _ in range(max(levels))]
+            moduli = list(itertools.accumulate(gaps))
+            roots = [
+                moduli[lvl - 1] if ch == "P" else -moduli[lvl - 1]
+                for lvl, ch in zip(levels, order.letters)
+            ]
+            values = [
+                sum(
+                    c * math.prod(g ** (key // base**i % base) for i, g in enumerate(gaps))
+                    for key, c in form.items()
+                )
+                for form in forms
+            ]
+            assert values == integer_product((r, 1) for r in roots)[::-1], (order, gaps)
 
 
 # ------------------------------------------------------------ forced signs
@@ -147,8 +194,8 @@ def test_forced_negative_root_sum():
 
 def test_forced_negative_pair_coefficient():
     cert = forced_sign(U(1, 1, 0, 1), 4)  # NPNPPN
-    assert cert is not None and cert.sign == -1
-    assert len(cert.matching) == 6
+    assert cert == ForcedSignCertificate(U(1, 1, 0, 1), 4, -1)
+    assert str(cert) == "q_4 forced negative on NPNPPN by its gap expansion"
     assert verify_certificate(cert)
 
 
@@ -163,12 +210,14 @@ def test_constant_term_always_forced():
         cert = forced_sign(ModuliOrder(order), 0)
         assert cert is not None
         assert cert.sign == (-1) ** order.count("P")
-        assert cert.strictness[0] == "unmatched-majority"
+        assert verify_certificate(cert)
 
 
 def test_no_certificate_when_sign_genuinely_varies():
     # +a -f -g +b with a<f<g<b: q_1 = fg(a+b) - ab(f+g) takes both signs
     assert forced_sign(ModuliOrder("PNNP"), 1) is None
+    values = _form(ModuliOrder("PNNP"), 1).values()
+    assert min(values) < 0 < max(values)
 
 
 def test_forced_sign_on_tied_wall_top():
@@ -183,65 +232,41 @@ def test_forced_sign_on_tied_wall_bottom():
     assert verify_certificate(cert)
 
 
-def _monomial(ranks, sign):
-    return SignedMonomial(tuple(map(int, ranks)), sign)
+def test_forced_sign_rejects_coefficient_index_out_of_range():
+    # a negative k would otherwise read the sign of q_{d+1+k}
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            forced_sign(ModuliOrder("PNPPNN"), k)
 
 
-def _tampered_forced_sign():
-    """(defect, tampered copy, the verifier's message) for each check of
-    `verify_certificate` after the minority cover, on q_2 of PPPPPN: its
-    five positive monomials, those without μ6, are each matched to a
-    negative one with μ6.  Each copy passes every check before the one it
-    names.  No copy reaches the check for a strict pair with equal level
-    vectors: a matched pair has two signs, so two supports, so two level
-    vectors."""
-    cert = forced_sign(ModuliOrder("PPPPPN"), 2)
-    (m0, M0), (m1, M1), *middle, (m4, M4) = cert.matching
-    assert (m0, M0, m4) == (_monomial("1234", 1), _monomial("1236", -1), _monomial("2345", 1))
-    assert cert.strictness == ("strict-pair", (m0, M0))
-
-    def replaced(first, last=(m4, M4), strictness=cert.strictness):
-        return dataclasses.replace(
-            cert, matching=(first, (m1, M1), *middle, last), strictness=strictness
-        )
-
-    yield "a pair listed twice", dataclasses.replace(
-        cert, matching=cert.matching + cert.matching[:1]
-    ), "does not cover"
-    yield "one majority monomial twice", replaced((m0, M1)), "not injective"
-    yield "a monomial of q_3", replaced((m0, _monomial("123", -1))), "foreign monomial"
-    yield "a minority monomial matched as majority", replaced(
-        (m0, _monomial("1245", 1))
-    ), "does not carry the claimed majority sign"
-    # μ1μ4μ5μ6 is unmatched, and μ1 < μ2 fails the last comparison
-    yield "an undominating partner", replaced(
-        (m0, M0), last=(m4, _monomial("1456", -1))
-    ), "does not dominate"
-    yield "a strict pair outside the matching", replaced(
-        (m0, M0), strictness=("strict-pair", (m0, M1))
-    ), "not part of the matching"
-    yield "a matched term as surplus", replaced(
-        (m0, M0), strictness=("unmatched-majority", M0)
-    ), "not a surplus majority term"
-    yield "an unknown strictness kind", replaced(
-        (m0, M0), strictness=("strict", (m0, M0))
-    ), "unknown strictness kind"
-
-
-def test_verifier_rejects_tampered_certificates():
+def test_verifier_rejects_tampered_claims():
     cert = forced_sign(U(1, 1, 0, 1), 4)
-    m0, M0 = cert.matching[0]
-    for bad in (
-        dataclasses.replace(cert, sign=-cert.sign),
-        dataclasses.replace(cert, matching=cert.matching[1:]),
-        dataclasses.replace(cert, matching=((M0, m0),) + cert.matching[1:]),
+    mixed = ForcedSignCertificate(ModuliOrder("PNNP"), 1, 1)  # q_1 takes both signs
+    for bad, message in (
+        (dataclasses.replace(cert, sign=-cert.sign), "in q_4 has the wrong sign"),
+        (mixed, "in q_1 has the wrong sign"),
+        (dataclasses.replace(mixed, sign=-1), "in q_1 has the wrong sign"),
+        (dataclasses.replace(cert, sign=0), "bad sign 0 for q_4"),
+        (dataclasses.replace(cert, sign=2), "bad sign 2 for q_4"),
+        (dataclasses.replace(cert, k=-1), "coefficient index -1 out of range"),
+        (dataclasses.replace(cert, k=7), "coefficient index 7 out of range"),
     ):
-        with pytest.raises(CertificateError, match="does not cover"):
-            verify_certificate(bad)
-    for defect, bad, message in _tampered_forced_sign():
         with pytest.raises(CertificateError, match=message):
             verify_certificate(bad)
-            pytest.fail(f"{defect} verified")
+            pytest.fail(f"{bad} verified")
+
+
+def test_a_claim_on_a_vanishing_coefficient_is_rejected_and_always_violated():
+    # on the degree-2 wall P=N, (x - a)(x + a) = x² - a²: q_1 vanishes, so
+    # neither sign is forced, the verifier rejects both claims, and every
+    # sample violates them
+    wall = TiedOrder("PN", (1,))
+    assert forced_sign(wall, 1) is None
+    for sign in (1, -1):
+        claim = ForcedSignCertificate(wall, 1, sign)
+        with pytest.raises(CertificateError, match="q_1 vanishes on P=N"):
+            verify_certificate(claim)
+        assert sample_certificate(claim, samples=200, seed=SEED) == 200
 
 
 def _plain_and_single_tie_orders(d):
@@ -252,7 +277,7 @@ def _plain_and_single_tie_orders(d):
 
 def test_forced_sign_certificates_are_pinned():
     """str and repr of forced_sign over every plain and single-tie order of
-    degrees 1-7 and every k in 0..d, recorded before im-pair sharing."""
+    degrees 1-7 and every k in 0..d."""
     digest = hashlib.sha256()
     found = 0
     for d in range(1, 8):
@@ -261,54 +286,49 @@ def test_forced_sign_certificates_are_pinned():
                 cert = forced_sign(order, k)
                 digest.update(f"{cert}\n{cert!r}\n".encode())
                 found += cert is not None
-    assert found == 4084
+    assert found == 4306
     assert digest.hexdigest() == (
-        "b33437cd9276bc49c4b53ff01077b35e19fe5ad6328d64ff9424d20e291aa8de"
+        "3b3c6dd69be94b00229a2e22afe1595947da0b732c4e4744d35311fe432daee7"
     )
 
 
-def _negated(m):
-    return SignedMonomial(m.support, -m.sign)
-
-
-def _expected_mirror(cert, mirror):
-    """The certificate on `mirror` = im(cert.order), built here from
-    scratch: when d-k is odd every monomial sign and the claim flip."""
-    if cert is None:
-        return None
-    if (cert.order.degree - cert.k) % 2 == 0:
-        return ForcedSignCertificate(mirror, cert.k, cert.sign, cert.matching, cert.strictness)
-    kind, detail = cert.strictness
-    if kind == "strict-pair":
-        detail = (_negated(detail[0]), _negated(detail[1]))
-    else:
-        detail = _negated(detail)
-    matching = tuple((_negated(m), _negated(M)) for m, M in cert.matching)
-    return ForcedSignCertificate(mirror, cert.k, -cert.sign, matching, (kind, detail))
+def test_degree_seven_certificates_verify_and_sample_clean():
+    """Every forced-sign certificate on the plain and single-tie orders of
+    degree 7, 188 of them beyond what a dominance matching of modulus
+    monomials finds (84 plain, 104 on walls), passes the verifier and 200
+    sampled integer configurations."""
+    found = 0
+    for order in _plain_and_single_tie_orders(7):
+        for k in range(8):
+            cert = forced_sign(order, k)
+            if cert is not None:
+                assert verify_certificate(cert)
+                assert sample_certificate(cert, samples=200, seed=SEED) == 0, cert
+                found += 1
+    assert found == 2480
 
 
 def test_forced_sign_commutes_with_negating_every_root():
     """Each im-pair of plain orders of degrees 1-8 and of single-tie orders
-    of degrees 1-7, from cold caches, visited in both orders: the two
-    members' certificates are mirrors of each other, whichever is asked
-    first, and both pass the verifier."""
+    of degrees 1-7: negating every root multiplies q_k by (-1)^(d-k), so
+    the certificate on one member is the other's with its sign multiplied
+    by that factor, and both pass the verifier."""
     orders = [o for d in range(1, 8) for o in _plain_and_single_tie_orders(d)]
     orders += [ModuliOrder("".join(letters)) for letters in itertools.product("PN", repeat=8)]
     pairs = [(o, apply_im(o)) for o in orders if o.letters < apply_im(o).letters]
     assert len(pairs) == 255 + 321
     for a, b in pairs:
         ks = range(a.degree + 1)
-        seen = []
-        for first, second in ((a, b), (b, a)):
-            forced_sign.cache_clear()
-            certs = {first: [forced_sign(first, k) for k in ks]}
-            certs[second] = [forced_sign(second, k) for k in ks]
-            seen.append(certs)
-        assert seen[0] == seen[1], (a, b)
-        for k in ks:
-            assert certs[b][k] == _expected_mirror(certs[a][k], b), (a, k)
-            for cert in (certs[a][k], certs[b][k]):
+        certs = {}
+        for order in (a, b):
+            certs[order] = [forced_sign(order, k) for k in ks]
+            for cert in certs[order]:
                 assert cert is None or verify_certificate(cert)
+        for k, cert in zip(ks, certs[a]):
+            expected = None if cert is None else ForcedSignCertificate(
+                b, k, cert.sign * (-1) ** (a.degree - k)
+            )
+            assert certs[b][k] == expected, (a, k)
 
 
 def test_certificates_survive_random_sampling():
@@ -356,7 +376,7 @@ def test_sampler_counts_violations_of_unsound_claims():
                 flipped.append(dataclasses.replace(cert, sign=-cert.sign))
             else:
                 unproved.extend(
-                    ForcedSignCertificate(order, k, sign, (), ("unmatched-majority", None))
+                    ForcedSignCertificate(order, k, sign)
                     for sign in (1, -1)
                 )
     assert (len(flipped), len(unproved)) == (74, 68)
@@ -379,7 +399,7 @@ def test_sampler_tally_is_shared_across_coefficients_signs_and_calls():
         TiedOrder("PNPN", (1, 3)),  # (x²−a²)(x²−b²): odd coefficients vanish
     ]
     claims = [
-        (ForcedSignCertificate(o, k, sign, (), ("unmatched-majority", None)), samples, seed)
+        (ForcedSignCertificate(o, k, sign), samples, seed)
         for order in orders
         for o in (order, apply_im(order))
         for k in range(o.degree + 1)
@@ -414,7 +434,7 @@ def test_sampler_kernels_cover_every_level_shape():
     for order in orders:
         for k in range(order.degree + 1):
             for sign in (1, -1):
-                cert = ForcedSignCertificate(order, k, sign, (), ("unmatched-majority", None))
+                cert = ForcedSignCertificate(order, k, sign)
                 for samples in (0, 1):
                     for seed in (0, 7):
                         expected = _fraction_violations(cert, samples, seed)
@@ -439,7 +459,7 @@ def test_sampler_builds_one_kernel_per_level_shape():
 
 def test_sampler_rejects_coefficient_index_out_of_range():
     for k in (-1, 7):
-        cert = ForcedSignCertificate(ModuliOrder("PNPPNN"), k, 1, (), ("unmatched-majority", None))
+        cert = ForcedSignCertificate(ModuliOrder("PNPPNN"), k, 1)
         with pytest.raises(ValueError, match="out of range"):
             sample_certificate(cert, samples=50, seed=SEED)
 
@@ -662,7 +682,7 @@ def test_refute_kinds_and_abstentions():
     assert kind("4,1,1,1", "PPNPNN") == "canonical-pattern"
     assert kind("4,1,1,1", "PPPNNN") is None  # the canonical order
     assert kind("2,2,1", "NNPP") == "forced-sign"
-    assert kind("3,2,1", "PNNNP") is None  # only frontier exclusion decides it
+    assert kind("2,4,1", "PPNNNN") is None  # only frontier exclusion decides it
 
 
 def test_contradicting_certificate_is_the_first_against_the_pattern():
@@ -764,26 +784,37 @@ def _stage_one(sp):
 
 
 def test_frontier_seals_the_blocked_part_of_an_open_region():
-    # before Monte Carlo, the Unknown region of 4,2,1 holds three realizable
-    # orders with open walls and two non-realizable ones whose exit walls
+    # before Monte Carlo, the Unknown region of 2,4,1 holds two realizable
+    # orders with open walls and three non-realizable ones whose exit walls
     # are all blocked; only the latter are sealed
-    sp = SignPattern.parse("++++--+")
+    sp = SignPattern.parse("++----+")
     table = settle(sp)
     statuses = _statuses(table)
-    assert {o for o, s in statuses.items() if s is Status.UNKNOWN} == {
-        "PPNNNN", "PNNPNN", "NPPNNN"
-    }
-    sealed = table[ModuliOrder("PNNNPN")]
+    assert {o for o, s in statuses.items() if s is Status.UNKNOWN} == {"PNNPNN", "PNNNNP"}
+    sealed = table[ModuliOrder("PPNNNN")]
     assert sealed.evidence_kind == "frontier"
-    assert table[ModuliOrder("PNNNNP")].evidence == sealed.evidence
-    assert [o.letters for o in sealed.evidence.region] == ["PNNNPN", "PNNNNP"]
+    assert isinstance(sealed.evidence, FrontierEvidence)
+    assert table[ModuliOrder("NPPNNN")].evidence == sealed.evidence
+    assert [o.letters for o in sealed.evidence.region] == ["PPNNNN", "PNPNNN", "NPPNNN"]
     assert table[sealed.evidence.anchor].status is Status.REALIZABLE
     # the same walls and reasons as the seal after Monte Carlo
     assert [(u.letters, v.letters, why) for u, v, why in sealed.evidence.blocks] == [
-        ("PNNNPN", "PNNPNN", "boundary forces q_3 negative"),
-        ("PNNNPN", "NPNNPN", "target [1,2,1] non-realizable"),
-        ("PNNNNP", "NPNNNP", "target [1,3,0] non-realizable"),
+        ("PNPNNN", "PNNPNN", "boundary infeasible by gap certificate on q_1, q_4"),
+        ("NPPNNN", "NPNPNN", "target [1,1,2] non-realizable"),
     ]
+
+
+def test_a_wall_is_blocked_by_its_target_then_by_its_tied_order():
+    # the wall PPNNN=P forces q_4 negative against 3,1,2,1; it blocks the
+    # crossing while the chamber beyond is not known to be non-realizable
+    sp = SignPattern.parse("3,1,2,1")
+    u, v = ModuliOrder("PPNNNP"), ModuliOrder("PPNNPN")
+    table = _seed_table(sp, set(), {canonical_order(sp)})
+    assert certify._wall_block_reason(sp, u, v, table) == "boundary forces q_4 negative"
+    table = _seed_table(sp, {v}, {canonical_order(sp)})
+    assert certify._wall_block_reason(sp, u, v, table) == "target [0,0,2,1] non-realizable"
+    # nothing blocks the wall PPP=NNN between two realizable orders
+    assert certify._wall_block_reason(sp, canonical_order(sp), ModuliOrder("PPNPNN"), table) is None
 
 
 def test_frontier_before_monte_carlo_seals_only_non_realizable_couples():
@@ -799,33 +830,20 @@ def test_frontier_before_monte_carlo_seals_only_non_realizable_couples():
                 partial |= {(str(sp), o.letters) for o in sealed}
     # the seals that leave part of the Unknown region open; the first 12
     # close a region whose one open exit wall only a gap certificate
-    # blocks, and the last 24 lie in the orbits of published-store
-    # patterns, whose realizable orders are witnessed only after exclusion
+    # blocks, and the last 16 lie in the orbit of the published-store
+    # pattern 2,1,2,2, whose realizable orders are witnessed only after
+    # exclusion
     assert partial == {
         ("++----+", "PPNNNN"), ("++----+", "PNPNNN"), ("++----+", "NPPNNN"),
         ("+----++", "NNNNPP"), ("+----++", "NNNPNP"), ("+----++", "NNNPPN"),
         ("++-+--+", "PPPPNN"), ("++-+--+", "PPPNPN"), ("++-+--+", "PPPNNP"),
         ("+--+-++", "NNPPPP"), ("+--+-++", "NPNPPP"), ("+--+-++", "PNNPPP"),
-        ("++++--+", "PNNNPN"), ("++++--+", "PNNNNP"),
-        ("+++--++", "NPNNNP"),
-        ("++--+++", "PNNNPN"),
-        ("+--++++", "PNNNNP"), ("+--++++", "NPNNNP"),
-        ("++--+-+", "PNPPPN"), ("++--+-+", "NPPPPN"),
-        ("+-++--+", "PNPPPN"),
-        ("+-+--++", "NPPPPN"), ("+-+--++", "NPPPNP"),
-        ("+--++-+", "NPPPNP"),
-        ("+++-++-", "PPNNNP"),
-        ("+++--+-", "NPPPNN"), ("+++--+-", "PPNNNP"),
         ("++-++--", "PNNNPP"), ("++-++--", "PNNPNP"),
         ("++-++--", "PNPNNP"), ("++-++--", "PPNNNP"),
         ("++--+--", "PNNNPP"), ("++--+--", "PNNPNP"),
         ("++--+--", "PNPNNP"), ("++--+--", "PPNNNP"),
-        ("++---+-", "NPPPNN"),
-        ("+-+++--", "NNPPPN"),
-        ("+-++---", "NNPPPN"), ("+-++---", "PNNNPP"),
         ("+--+++-", "NNPPPN"), ("+--+++-", "NPNPPN"),
         ("+--+++-", "NPPNPN"), ("+--+++-", "NPPPNN"),
-        ("+--+---", "PNNNPP"),
         ("+---++-", "NNPPPN"), ("+---++-", "NPNPPN"),
         ("+---++-", "NPPNPN"), ("+---++-", "NPPPNN"),
     }
@@ -846,28 +864,18 @@ def test_classify_three_changes_first(cfg, store):
     }
     assert Status.UNKNOWN not in statuses.values()
 
-    prop = table[U(2, 0, 0, 1)]
+    prop = table[U(0, 3, 0, 0)]
     assert prop.evidence_kind == "propagation"
-    assert set(prop.evidence) == {U(1, 1, 0, 1), U(2, 0, 1, 0)}
+    assert set(prop.evidence) == {U(0, 2, 1, 0), U(1, 2, 0, 0)}
 
-    # the matcher finds direct certificates for two orders the frontier
-    # argument would otherwise have to cover
-    for u in ((0, 2, 1, 0), (0, 1, 2, 0)):
+    # the gap expansion certifies q_4 < 0 directly on every order that
+    # frontier exclusion or propagation would otherwise have to cover but
+    # the one above, including [0,0,3,0], the order of the wall PPNNN=P
+    for u in ((0, 0, 3, 0), (0, 1, 2, 0), (0, 2, 1, 0), (2, 0, 0, 1)):
         direct = table[U(*u)]
         assert direct.evidence_kind == "forced-sign"
         assert direct.evidence.k == 4 and direct.evidence.sign == -1
-
-    sealed = table[U(0, 0, 3, 0)]
-    assert sealed.evidence_kind == "frontier"
-    assert isinstance(sealed.evidence, FrontierEvidence)
-    assert {order_to_uvector(o).u for o in sealed.evidence.region} == {(0, 0, 3, 0)}
-    reasons = {(u.letters, v.letters): why for u, v, why in sealed.evidence.blocks}
-    assert reasons[(U(0, 0, 3, 0).letters, U(0, 0, 2, 1).letters)] == (
-        "boundary forces q_4 negative"
-    )
-    assert reasons[(U(0, 0, 3, 0).letters, U(0, 1, 2, 0).letters)] == (
-        "target [0,1,2,0] non-realizable"
-    )
+    assert "frontier" not in {v.evidence_kind for v in table.values()}
 
 
 def test_classify_second_pattern_uses_pair_lemma(cfg, store):
@@ -909,14 +917,13 @@ def test_classify_fourth_pattern(cfg, store):
         "PPPNNN", "PPNPNN", "PPNNPN", "PNPPNN"
     }
     assert Status.UNKNOWN not in statuses.values()
-    sealed = table[U(1, 0, 0, 2)]
-    assert sealed.evidence_kind == "frontier"
-    assert {order_to_uvector(o).u for o in sealed.evidence.region} == {
-        (0, 0, 3, 0), (1, 0, 0, 2)
-    }
-    reasons = {(u.letters, v.letters): why for u, v, why in sealed.evidence.blocks}
-    assert reasons[("NPPPNN", "PNPPNN")] == "boundary forces q_2 positive"
-    assert reasons[("PPNNNP", "PPNNPN")] == "boundary forces q_4 negative"
+    # the two orders a frontier seal used to cover, through the walls whose
+    # tied orders force q_2 > 0 and q_4 < 0, carry those signs themselves
+    for letters, k, sign in (("NPPPNN", 2, 1), ("PPNNNP", 4, -1)):
+        direct = table[ModuliOrder(letters)]
+        assert direct.evidence_kind == "forced-sign"
+        assert (direct.evidence.k, direct.evidence.sign) == (k, sign)
+    assert {v.evidence_kind for v in table.values()} == {"witness", "forced-sign", "rigid-order"}
 
 
 def test_one_exclusion_round_is_a_fixed_point():
@@ -1013,13 +1020,13 @@ def test_stored_witness_contradiction_is_raised_before_monte_carlo(monkeypatch, 
         raise AssertionError("mc_search ran before the contradiction check")
 
     monkeypatch.setattr(search, "mc_search", no_sampling)
-    # 4,2,1 has orders only Monte Carlo decides; PNNNPN is sealed by frontier
-    killed = Couple(SignPattern.parse("4,2,1"), ModuliOrder("PNNNPN"))
+    # 2,4,1 has orders only Monte Carlo decides; PPNNNN is sealed by frontier
+    killed = Couple(SignPattern.parse("2,4,1"), ModuliOrder("PPNNNN"))
     corrupt = dict(store)
     corrupt[killed] = constructive_witness(RIGID)
-    with pytest.raises(ContradictionError, match="PNNNPN.*frontier evidence"):
+    with pytest.raises(ContradictionError, match="PPNNNN.*frontier evidence"):
         settle(killed.sp, corrupt)
-    with pytest.raises(ContradictionError, match="PNNNPN.*frontier evidence"):
+    with pytest.raises(ContradictionError, match="PPNNNN.*frontier evidence"):
         classify_pattern(killed.sp, cfg, corrupt)
 
 

@@ -263,12 +263,12 @@ def test_search_rejects_an_incompatible_couple(capsys):
 
 @pytest.mark.parametrize(
     "pattern, order, evidence",
-    [("2,2,2,1", "NNPPNP", "(forced-sign): q_1 forced negative on NNPPNP: ["),
+    [("2,2,2,1", "NNPPNP", "(forced-sign): q_1 forced negative on NNPPNP by its gap expansion"),
      ("2,2,2,1", "NPNPNP", "(rigid-order): +--++--"),
-     ("4,2,1", "PNNNPN", "(frontier): region {[0,3,1], [0,4,0]} sealed against anchor"),
+     ("1,4,2", "NNNPPN", "(frontier): region {[3,0,1], [3,1,0], [4,0,0]} sealed against anchor"),
      ("2,4,1", "PNPNNN", "(frontier): region {[0,0,4], [0,1,3], [1,0,3]} sealed against "
       "anchor PNNNPN: PNPNNN|PNNPNN: boundary infeasible by gap certificate on q_1, q_4;"),
-     ("3,1,2,1", "NNPPPN", "(propagation): all neighbours non-realizable: [1,1,0,1],")],
+     ("3,1,2,1", "PNNNPP", "(propagation): all neighbours non-realizable: [0,2,1,0],")],
     ids=["forced-sign", "rigid-order", "frontier", "gap-certificate", "propagation"],
 )
 def test_search_reports_a_refuted_couple_without_sampling(
@@ -311,7 +311,7 @@ def test_search_samples_no_couple_that_exclusion_proves(capsys, monkeypatch):
         assert (rc, out) == (3, "")
         kinds[err.split(" is non-realizable (")[1].split(")")[0]] += 1
     assert encoded_only == 0
-    assert kinds == {"frontier": 48, "propagation": 28}
+    assert kinds == {"frontier": 28, "propagation": 8}
 
 
 def test_search_refuses_a_stored_witness_for_a_refuted_couple(capsys, monkeypatch):
@@ -353,7 +353,14 @@ def test_certify_full_scan(capsys):
     assert rc == 0
     ks = [line.split()[0] for line in out.splitlines()]
     assert ks == ["q_0", "q_1", "q_3", "q_5"]
-    assert "strict via" in out
+    assert out.count("by its gap expansion") == 4
+
+
+@pytest.mark.parametrize("coeff", ["-1", "7"])
+def test_certify_coefficient_out_of_range_exit_2(capsys, coeff):
+    rc, out, err = run(capsys, "certify", "--order", "PNPPNN", "--coeff", coeff)
+    assert (rc, out) == (2, "")
+    assert err == f"error: coefficient index {coeff} out of range\n"
 
 
 def test_certify_exits_1_on_sampled_violations(capsys, monkeypatch):

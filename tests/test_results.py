@@ -256,6 +256,21 @@ def test_remaining_rows_match_at_printed_precision(paper_report):
         assert all(c.category in ("exact", "rounded") for c in r.checks)
 
 
+def test_verify_paper_parses_each_row_once(monkeypatch):
+    from hypmoduli.published import PublishedRow
+
+    parsed = []
+    original = PublishedRow.configuration
+
+    def counted(row):
+        parsed.append((row.composition, row.order))
+        return original(row)
+
+    monkeypatch.setattr(PublishedRow, "configuration", counted)
+    report = verify_paper()
+    assert len(parsed) == len(set(parsed)) == len(report.rows) == 13
+
+
 def test_tie_perturbation_applied_to_unit_pairs(paper_report):
     tied = {(r.row.composition, r.row.order) for r in paper_report.rows if r.tie_resolved}
     assert len(tied) == 7

@@ -499,9 +499,11 @@ def _im_pair(c: Couple) -> Couple:
 
 def test_concat_parent_search_keeps_undecided_parents(monkeypatch):
     targets = _record_mc_targets(monkeypatch)
-    parent = couple("3,2,1", "PNNNP")
+    # frontier exclusion seals the parent, but no per-couple certificate
+    # refutes it, so the concatenation search still asks Monte Carlo
+    parent = couple("2,4,1", "PPNNNN")
     assert refute(parent) is None
-    child = couple("3,2,2", "NPNNNP")
+    child = couple("2,4,2", "NPPNNNN")
     witness_for(child, SamplerConfig(seed=0, budget=200))
     # Monte Carlo runs once per im-pair, on its representative
     assert targets[0] == _im_pair(parent)
