@@ -28,7 +28,6 @@ from .patterns import (
     SignPattern,
     canonical_order,
     compatible_orders,
-    descartes_counts,
     enumerate_patterns,
     is_canonical_pattern,
     is_compatible,

@@ -10,14 +10,12 @@ the loader resolves those ties exactly before validating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .patterns import Couple, ModuliOrder, SignPattern
 from .poly import (
     RootConfiguration,
     Witness,
-    expand,
     make_witness,
     resolve_ties,
     tied_pairs_of,
@@ -71,12 +69,6 @@ class PublishedRow:
 
     def configuration(self) -> RootConfiguration:
         return RootConfiguration.parse(self.root_texts)
-
-    def exact_expansion(self) -> tuple[Fraction, ...]:
-        return expand(self.configuration())
-
-    def has_tied_moduli(self) -> bool:
-        return bool(tied_pairs_of(self.configuration()))
 
 
 def published_rows() -> list[PublishedRow]:

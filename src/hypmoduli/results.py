@@ -2,9 +2,9 @@
 
 The classification of (sign pattern, order of moduli) couples for degree 6
 is complete in the literature; this module stores it as a citation-backed
-verdict table, derives the realizability counts and ratio from it, checks
-the published example polynomials against exact re-expansion, and diffs the
-decision pipeline against the encoded table.
+verdict table, counts the decision pipeline's verdicts at each degree up to
+six (diffing degree 6 against the encoded table), and checks the published
+example polynomials against exact re-expansion.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .patterns import (
     uvector_to_order,
 )
 from .poly import couple_of, expand, format_exact, parse_exact, resolve_ties, tied_pairs_of
-from .published import PublishedRow, published_rows, published_witnesses
-from .search import SamplerConfig
+from .published import PublishedRow, published_rows
 from .symmetry import GROUP_ELEMENTS, apply_group, orbits
 
 CITE_THEOREM = "deg6-c3-theorem"
@@ -91,19 +90,6 @@ class ClassificationTable:
 
     def status(self, couple: Couple) -> Status:
         return self.entries[couple].status
-
-    def couples(self, changes: int | None = None):
-        for couple in self.entries:
-            if changes is None or descartes_counts(couple.sp)[0] == changes:
-                yield couple
-
-    def count(self, status: Status, changes: int | None = None) -> int:
-        return sum(
-            1 for c in self.couples(changes) if self.entries[c].status is status
-        )
-
-    def total(self, changes: int | None = None) -> int:
-        return sum(1 for _ in self.couples(changes))
 
 
 def _one_change_realizable(sp: SignPattern, order: ModuliOrder) -> bool:
@@ -241,67 +227,55 @@ class CountReport:
         return "\n".join(lines)
 
 
-def _pipeline_counts(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Realizable and total couples per sign-change count for a degree
-    below six, decided by `classify_pattern` at the default sampler config
-    with no stored witnesses; an Unknown verdict is an error."""
-    realizable, totals = [], []
+def _pipeline_tables(d: int) -> dict[SignPattern, dict[ModuliOrder, Verdict]]:
+    """`classify_pattern` on every sign pattern of degree d, at the default
+    sampler config with no stored witnesses; at degree 6 every verdict is
+    diffed against the encoded table.  Raises ContradictionError naming
+    each couple left Unknown and each couple the table contradicts."""
+    reference = builtin_table(6) if d == 6 else None
+    tables, faults = {}, []
     for changes in range(d + 1):
-        r = t = 0
         for sp in enumerate_patterns(d, changes):
-            for verdict in classify_pattern(sp).values():
-                if verdict.status is Status.UNKNOWN:
-                    raise RuntimeError(f"pipeline left {verdict.couple} undecided")
-                r += verdict.status is Status.REALIZABLE
-                t += 1
-        realizable.append((changes, r))
-        totals.append((changes, t))
-    return tuple(realizable), tuple(totals)
+            tables[sp] = classify_pattern(sp)
+            for verdict in tables[sp].values():
+                expected = reference.status(verdict.couple) if reference else None
+                if verdict.status is Status.UNKNOWN or expected not in (None, verdict.status):
+                    fault = f"{verdict.couple}: pipeline {verdict.status.value}"
+                    faults.append(fault + (f", table {expected.value}" if expected else ""))
+    if faults:
+        raise ContradictionError(f"degree {d}: " + "; ".join(faults))
+    return tables
 
 
-def _ratio(realizable, totals) -> Fraction:
-    return Fraction(sum(r for _, r in realizable), sum(t for _, t in totals))
+def _realizable(table: dict[ModuliOrder, Verdict]) -> int:
+    return sum(v.status is Status.REALIZABLE for v in table.values())
 
 
 def counts_and_ratio(d: int) -> CountReport:
-    """Realizability counts for degree d: below six decided by the
-    pipeline, at six read from the encoded table, which also gives the
-    three-change orbit products."""
+    """Realizability counts for degree d, every degree from 1 to d decided
+    by the pipeline; at degree 6 checked against the encoded table, with
+    the three-change orbit products."""
     if not 1 <= d <= 6:
         raise ValueError(f"unsupported degree {d}")
-    lower = [_pipeline_counts(i) for i in range(1, min(d, 5) + 1)]
-    seq = tuple(_ratio(*c) for c in lower)
-    if d < 6:
-        realizable, totals = lower[-1]
-        return CountReport(
-            d, realizable, totals, seq[-1], seq,
-            tuple(b / a for a, b in zip(seq, seq[1:])), None,
-        )
+    seq = []
+    for degree in range(1, d + 1):
+        tables = _pipeline_tables(degree)
+        realizable, totals = [0] * (degree + 1), [0] * (degree + 1)
+        for sp, table in tables.items():
+            changes = descartes_counts(sp)[0]
+            realizable[changes] += _realizable(table)
+            totals[changes] += len(table)
+        seq.append(Fraction(sum(realizable), sum(totals)))
 
-    table = builtin_table(6)
-    realizable = tuple((c, table.count(Status.REALIZABLE, c)) for c in range(7))
-    totals = tuple((c, table.total(c)) for c in range(7))
-    ratio = _ratio(realizable, totals)
-
-    products = []
-    for orbit in orbits(6, 3):
-        counts = {
-            sum(
-                1
-                for order in compatible_orders(sp)
-                if table.status(Couple(sp, order)) is Status.REALIZABLE
-            )
-            for sp in orbit.members
-        }
-        if len(counts) != 1:
-            raise ContradictionError(f"orbit {orbit} has unequal realizable counts")
-        products.append((counts.pop(), len(orbit.members)))
-    products.sort(key=lambda p: (-p[0], -p[1]))
-
-    seq = seq + (ratio,)
+    products = None
+    if d == 6:
+        products = tuple(sorted(
+            ((_realizable(tables[o.representative]), o.size) for o in orbits(6, 3)),
+            key=lambda p: (-p[0], -p[1]),
+        ))
     return CountReport(
-        6, realizable, totals, ratio, seq,
-        tuple(b / a for a, b in zip(seq, seq[1:])), tuple(products),
+        d, tuple(enumerate(realizable)), tuple(enumerate(totals)), seq[-1], tuple(seq),
+        tuple(b / a for a, b in zip(seq, seq[1:])), products,
     )
 
 
@@ -344,10 +318,6 @@ class PaperReport:
     @property
     def all_couples_confirmed(self) -> bool:
         return all(r.couple_ok for r in self.rows)
-
-    @property
-    def mismatch_rows(self) -> tuple[RowCheck, ...]:
-        return tuple(r for r in self.rows if r.mismatches)
 
     def render(self) -> str:
         lines = []
@@ -437,65 +407,3 @@ def verdict_rows(verdicts) -> str:
 def save_verdicts(verdicts, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(verdict_rows(verdicts))
-
-
-# ------------------------------------------------------------ cross-check
-
-
-@dataclass(frozen=True)
-class CrossValidationReport:
-    """Diff between the decision pipeline and the encoded table."""
-
-    couples_checked: int
-    agreements: int
-    lemma_dependent: tuple[Couple, ...]  # encoded verdict, pipeline Unknown
-    mc_witnesses: int  # witnesses with a sampler seed, found or transported
-    contradictions: tuple[tuple[Couple, Status, Status], ...]
-
-    def render(self) -> str:
-        lines = [
-            f"checked {self.couples_checked} couples: "
-            f"{self.agreements} agree, "
-            f"{len(self.lemma_dependent)} rest on encoded results only, "
-            f"{self.mc_witnesses} witnesses found by search",
-        ]
-        for couple in self.lemma_dependent:
-            lines.append(f"  encoded-only: {couple}")
-        for couple, ours, reference in self.contradictions:
-            lines.append(f"  CONTRADICTION {couple}: pipeline {ours.value}, table {reference.value}")
-        return "\n".join(lines)
-
-
-def cross_validate(
-    budget: int = 100_000, seed: int = 0, patterns=None
-) -> CrossValidationReport:
-    """Run the decision pipeline over degree-6 couples and diff against the
-    encoded table.  Pipeline Unknown against an encoded verdict is reported
-    as an encoded-lemma dependency; a decided conflict is a contradiction
-    (and any witness/certificate clash raises already inside the pipeline)."""
-    reference = builtin_table(6)
-    if patterns is None:
-        patterns = [sp for c in range(7) for sp in enumerate_patterns(6, c)]
-    cfg = SamplerConfig(seed=seed, budget=budget)
-    store = {w.couple: w for w in published_witnesses()}
-
-    checked = agreements = mc_found = 0
-    lemma_dependent: list[Couple] = []
-    contradictions: list[tuple[Couple, Status, Status]] = []
-    for sp in patterns:
-        table = classify_pattern(sp, cfg, store)
-        for order, verdict in table.items():
-            couple = Couple(sp, order)
-            expected = reference.status(couple)
-            checked += 1
-            if verdict.status is Status.UNKNOWN:
-                lemma_dependent.append(couple)
-            elif verdict.status is expected:
-                agreements += 1
-                if verdict.evidence_kind == "witness" and verdict.evidence.seed is not None:
-                    mc_found += 1
-            else:
-                contradictions.append((couple, verdict.status, expected))
-    return CrossValidationReport(
-        checked, agreements, tuple(lemma_dependent), mc_found, tuple(contradictions)
-    )

@@ -817,6 +817,28 @@ def test_a_wall_is_blocked_by_its_target_then_by_its_tied_order():
     assert certify._wall_block_reason(sp, canonical_order(sp), ModuliOrder("PPNPNN"), table) is None
 
 
+def test_a_tied_order_forced_sign_seals_a_degree_eight_region(monkeypatch):
+    # the forced-sign branch of `_wall_block_reason` decides nothing at
+    # degrees 4-7; at degree 8 it blocks the one exit wall of this region
+    # that no non-realizable target blocks, so without it the five orders
+    # stay Unknown
+    sp = SignPattern.parse("5,2,1,1")
+    region = ["NPPPNNNN", "NPPNPNNN", "NPPNNPNN", "NPNPPNNN", "NNPPPNNN"]
+    table = settle(sp)
+    assert [o.letters for o, v in table.items() if v.evidence_kind == "frontier"] == region
+    (evidence,) = {table[ModuliOrder(o)].evidence for o in region}
+    blocks = [(u.letters, v.letters, why) for u, v, why in evidence.blocks]
+    assert ("NPPPNNNN", "PNPPNNNN", "boundary forces q_2 positive") in blocks
+    plain = certify.contradicting_certificate
+    monkeypatch.setattr(
+        certify,
+        "contradicting_certificate",
+        lambda order, sp: None if isinstance(order, TiedOrder) else plain(order, sp),
+    )
+    table = settle(sp)
+    assert all(table[ModuliOrder(o)].status is Status.UNKNOWN for o in region)
+
+
 def test_frontier_before_monte_carlo_seals_only_non_realizable_couples():
     reference = builtin_table(6)
     partial = set()

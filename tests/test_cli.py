@@ -298,7 +298,7 @@ def test_search_samples_no_couple_that_exclusion_proves(capsys, monkeypatch):
     monkeypatch.setattr(search, "mc_search", sampled)
     table = builtin_table(6)
     kinds, encoded_only = Counter(), 0
-    for couple in table.couples():
+    for couple in table.entries:
         if table.status(couple) is not Status.NON_REALIZABLE or refute(couple):
             continue
         try:
@@ -583,3 +583,56 @@ def test_contradiction_maps_to_exit_1(monkeypatch, capsys):
     rc, _, err = run(capsys, "stats", "--degree", "6")
     assert rc == 1
     assert err.startswith("CONTRADICTION: fabricated disagreement")
+
+
+def test_stats_degree_6_names_couples_only_the_table_decides(capsys, monkeypatch):
+    # without gap certificates the sealed region of 2,4,1 rests on the
+    # encoded table only; stats must name each such couple, not count it
+    table = builtin_table(6)
+    monkeypatch.setattr(certify, "gap_certificate", lambda tied: None)
+    # no search can find a witness for a NonRealizable couple, so skip the
+    # Monte Carlo budget it would exhaust on each
+    searched = certify.witness_for
+
+    def witness_for(couple, cfg, store):
+        verdict = table.entries.get(couple)
+        if verdict is not None and verdict.status is Status.NON_REALIZABLE:
+            return None
+        return searched(couple, cfg, store)
+
+    monkeypatch.setattr(certify, "witness_for", witness_for)
+    rc, out, err = run(capsys, "stats", "--degree", "6")
+    assert (rc, out) == (1, "")
+    assert err.startswith("CONTRADICTION: degree 6: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    for order in ("PPNNNN", "PNPNNN", "NPPNNN"):
+        assert f"(2,4,1, {order}): pipeline Unknown, table NonRealizable" in err
+
+
+def test_stats_degree_6_reports_a_verdict_the_table_contradicts(capsys, monkeypatch):
+    encoded = builtin_table
+
+    def flipped(d):
+        table = encoded(d)
+        couple = Couple(SignPattern.parse("3,1,2,1"), ModuliOrder("PPPNNN"))
+        table.entries[couple] = Verdict(couple, Status.NON_REALIZABLE, "citation")
+        return table
+
+    monkeypatch.setattr("hypmoduli.results.builtin_table", flipped)
+    rc, out, err = run(capsys, "stats", "--degree", "6")
+    assert (rc, out) == (1, "")
+    assert err == (
+        "CONTRADICTION: degree 6: (3,1,2,1, PPPNNN): pipeline Realizable, "
+        "table NonRealizable\n"
+    )
+
+
+def test_stats_reports_a_couple_left_undecided_below_degree_six(capsys, monkeypatch):
+    # with no witness search, the couples only a witness decides stay Unknown
+    monkeypatch.setattr(certify, "witness_for", lambda couple, cfg, store: None)
+    rc, out, err = run(capsys, "stats", "--degree", "5")
+    assert (rc, out) == (1, "")
+    assert err == (
+        "CONTRADICTION: degree 3: (2,2, PNN): pipeline Unknown; (2,2, NNP): pipeline Unknown; "
+        "(1,2,1, PPN): pipeline Unknown; (1,2,1, NPP): pipeline Unknown\n"
+    )

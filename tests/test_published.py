@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from hypmoduli.patterns import Couple, ModuliOrder, SignPattern
-from hypmoduli.poly import couple_of, format_exact, parse_exact
+from hypmoduli.poly import couple_of, expand, format_exact, parse_exact, tied_pairs_of
 from hypmoduli.published import (
     PUBLISHED_PROVENANCE,
     published_rows,
@@ -19,7 +19,7 @@ def test_corpus_shape():
 
 
 def test_tied_rows_are_the_unit_modulus_ones():
-    tied = [r for r in published_rows() if r.has_tied_moduli()]
+    tied = [r for r in published_rows() if tied_pairs_of(r.configuration())]
     assert len(tied) == 7
     for row in tied:
         pairs = []
@@ -29,9 +29,9 @@ def test_tied_rows_are_the_unit_modulus_ones():
 
 def test_every_row_expands_to_its_claimed_sign_pattern():
     for row in published_rows():
-        signs = SignPattern(tuple((c > 0) - (c < 0) for c in row.exact_expansion()))
+        signs = SignPattern(tuple((c > 0) - (c < 0) for c in expand(row.configuration())))
         assert str(signs.composition()) == row.composition
-        if not row.has_tied_moduli():
+        if not tied_pairs_of(row.configuration()):
             assert couple_of(row.configuration()).sp == signs
 
 
@@ -50,9 +50,9 @@ def test_untied_rows_expand_to_printed_values_exactly():
     # printed precision); the PPNPNN and NPPNNP rows are even digit-exact
     by_key = {(r.composition, r.order): r for r in published_rows()}
     row = by_key[("3,1,2,1", "PPNPNN")]
-    assert [format_exact(c) for c in row.exact_expansion()[1:]] == list(row.printed_tail)
+    assert [format_exact(c) for c in expand(row.configuration())[1:]] == list(row.printed_tail)
     row = by_key[("2,2,2,1", "NPPNNP")]
-    assert [format_exact(c) for c in row.exact_expansion()[1:]] == list(row.printed_tail)
+    assert [format_exact(c) for c in expand(row.configuration())[1:]] == list(row.printed_tail)
 
 
 def test_resolved_ties_keep_roots_close_to_printed():
@@ -63,7 +63,7 @@ def test_resolved_ties_keep_roots_close_to_printed():
         row = rows[(str(w.couple.sp.composition()), w.couple.order.letters)]
         verbatim = {parse_exact(t) for t in row.root_texts}
         got = set(w.roots.roots)
-        if row.has_tied_moduli():
+        if tied_pairs_of(row.configuration()):
             removed = verbatim - got
             added = got - verbatim
             assert len(removed) == len(added) == 1

@@ -1,10 +1,10 @@
 """Encoded classification table, counts, and report generation."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hypmoduli import certify
 from hypmoduli.certify import Status, classify_pattern
 from hypmoduli.patterns import (
     Couple,
@@ -13,16 +13,17 @@ from hypmoduli.patterns import (
     UVector,
     canonical_order,
     compatible_orders,
+    descartes_counts,
     enumerate_patterns,
     order_to_uvector,
     uvector_to_order,
 )
+from hypmoduli.published import published_witnesses
 from hypmoduli.results import (
     LITERATURE_RATIOS,
     VERDICTS_HEADER,
     builtin_table,
     counts_and_ratio,
-    cross_validate,
     save_verdicts,
     verdict_rows,
     verify_paper,
@@ -45,15 +46,19 @@ def table6():
 # ------------------------------------------------------------ builtin table
 
 
+def _by_changes(couples):
+    counts = Counter(descartes_counts(c.sp)[0] for c in couples)
+    return [counts[c] for c in range(7)]
+
+
 def test_full_table_covers_all_couples(table6):
-    assert table6.total() == 924
-    totals = [table6.total(c) for c in range(7)]
-    assert totals == [1, 36, 225, 400, 225, 36, 1]
+    assert len(table6.entries) == 924
+    assert _by_changes(table6.entries) == [1, 36, 225, 400, 225, 36, 1]
 
 
 def test_stratum_realizable_counts(table6):
-    counts = [table6.count(Status.REALIZABLE, c) for c in range(7)]
-    assert counts == [1, 18, 69, 90, 69, 18, 1]
+    realizable = [c for c, v in table6.entries.items() if v.status is Status.REALIZABLE]
+    assert _by_changes(realizable) == [1, 18, 69, 90, 69, 18, 1]
 
 
 def test_three_change_representatives(table6):
@@ -185,6 +190,8 @@ def test_pipeline_reproduces_literature_ratios_below_six():
 
 
 def test_counts_and_ratio_degree_six():
+    # the pipeline's counts; each of the 924 verdicts agrees with the
+    # encoded table, or counts_and_ratio raises ContradictionError
     report = counts_and_ratio(6)
     assert report.ratio == Fraction(19, 66)
     assert dict(report.realizable_by_changes) == {
@@ -241,7 +248,8 @@ def test_all_claimed_couples_confirmed(paper_report):
 def test_known_print_typos_are_itemized(paper_report):
     flagged = {
         (r.row.composition, r.row.order): [c.k for c in r.mismatches]
-        for r in paper_report.mismatch_rows
+        for r in paper_report.rows
+        if r.mismatches
     }
     assert flagged == {
         ("3,1,2,1", "PPPNNN"): [5, 4, 3, 2, 1, 0],
@@ -317,41 +325,19 @@ def test_verdict_rows_format(table6, tmp_path):
 # ------------------------------------------------------------ cross-check
 
 
-def test_cross_validate_strata_with_full_machinery():
+def test_pipeline_agrees_with_table_on_strata_with_full_machinery(table6):
+    # a seed and budget other than the defaults `counts_and_ratio` runs,
+    # with the published witnesses stored
     patterns = [
         *enumerate_patterns(6, 0),
         *enumerate_patterns(6, 1),
         SignPattern.parse("3,1,2,1"),
     ]
-    report = cross_validate(budget=60_000, seed=SEED, patterns=patterns)
-    assert report.contradictions == ()
-    assert report.lemma_dependent == ()
-    assert report.agreements == report.couples_checked == 1 + 36 + 20
-
-
-def test_cross_validate_full_degree_six():
-    report = cross_validate(budget=10_000, seed=0)
-    assert report.couples_checked == 924
-    assert report.agreements == 924
-    # witnesses with a sampler seed: Monte Carlo finds and their transports
-    assert report.mc_witnesses == 62
-    assert report.contradictions == ()
-    assert report.lemma_dependent == ()
-
-
-def test_cross_validate_reports_encoded_only_couples(monkeypatch):
-    patterns = [SignPattern.parse("2,4,1")]
-    report = cross_validate(budget=40_000, seed=SEED, patterns=patterns)
-    assert report.contradictions == ()
-    assert report.lemma_dependent == ()
-    assert report.agreements == 15
-    assert "encoded-only" not in report.render()
-    # without the gap certificate that closes its one open exit wall, the
-    # sealed region of 2,4,1 rests on the encoded table only
-    monkeypatch.setattr(certify, "gap_certificate", lambda tied: None)
-    report = cross_validate(budget=40_000, seed=SEED, patterns=patterns)
-    assert report.contradictions == ()
-    gaps = {order_to_uvector(c.order).u for c in report.lemma_dependent}
-    assert gaps == {(1, 0, 3), (0, 1, 3), (0, 0, 4)}
-    assert report.agreements == 12
-    assert "encoded-only" in report.render()
+    cfg = SamplerConfig(seed=SEED, budget=60_000)
+    store = {w.couple: w for w in published_witnesses()}
+    checked = 0
+    for sp in patterns:
+        for verdict in classify_pattern(sp, cfg, store).values():
+            assert verdict.status is table6.status(verdict.couple), verdict.couple
+            checked += 1
+    assert checked == 1 + 36 + 20
